@@ -24,6 +24,7 @@ from .fincat import (
     UnknownObject,
     build_category,
     check_functor_laws,
+    components,
     opposite_functor,
 )
 
@@ -407,24 +408,9 @@ def coinitiality_profile(F: FinFunctor) -> dict[str, CoinitialityRecord]:
     out = {}
     for d in F.target.objects:
         comma = comma_over(F, d)
-        objs = comma.base.objects
-        nonempty = bool(objs)
-        connected = False
-        if nonempty:
-            index = {o: i for i, o in enumerate(objs)}
-            parent = list(range(len(objs)))
-
-            def find(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for m in comma.base.morphisms:
-                ra, rb = find(index[m.src]), find(index[m.dst])
-                if ra != rb:
-                    parent[rb] = ra
-            connected = len({find(i) for i in range(len(objs))}) == 1
+        nonempty = bool(comma.base.objects)
+        edges = ((m.src, m.dst) for m in comma.base.morphisms)
+        connected = len(components(comma.base.objects, edges)) == 1
         has_initial = bool(limits.initial_objects(comma.base))
         out[d] = CoinitialityRecord(nonempty, connected, has_initial)
     return out

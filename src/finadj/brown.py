@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import limits
-from .fincat import CategoryError, FinCategory, FinFunctor, UnknownObject
+from .fincat import CategoryError, FinCategory, FinFunctor, UnknownObject, minimal_sets
 
 
 class CoproductAbsent(CategoryError):
@@ -220,22 +220,10 @@ def weak_generators(C: FinCategory) -> list[tuple[str, ...]]:
     detect = {
         (g, f): detects(g, f) for g in C.objects for f in non_isos
     }
-    n = len(C.objects)
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            members = tuple(C.objects[i] for i in combo)
-            if not all(any(detect[(g, f)] for g in members) for f in non_isos):
-                continue
-            if all(
-                not all(
-                    any(detect[(g, f)] for g in members[:k] + members[k + 1 :])
-                    for f in non_isos
-                )
-                for k in range(len(members))
-            ):
-                out.append(members)
-    return out
+    return minimal_sets(
+        C.objects,
+        lambda members: all(any(detect[(g, f)] for g in members) for f in non_isos),
+    )
 
 
 @dataclass(frozen=True)

@@ -150,22 +150,6 @@ def free_boundary() -> FinCategory:
     )
 
 
-def chaotic(objects) -> FinCategory:
-    """The indiscrete category: exactly one morphism between any two objects."""
-    objects = list(objects)
-    name = lambda x, y: f"id_{x}" if x == y else f"{x}~{y}"
-    arrows = [(name(x, y), x, y) for x in objects for y in objects if x != y]
-    compose = []
-    for x in objects:
-        for y in objects:
-            for z in objects:
-                if x != y and y != z and x != z:
-                    compose.append((name(y, z), name(x, y), name(x, z)))
-                elif x != y and y != z and x == z:
-                    compose.append((name(y, z), name(x, y), f"id_{x}"))
-    return _category(objects, arrows, compose)
-
-
 def categories() -> dict[str, FinCategory]:
     return {
         "empty": empty_cat(),

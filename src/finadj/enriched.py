@@ -15,7 +15,6 @@ module is to compute on instances where the two disagree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import limits
@@ -29,7 +28,9 @@ from .fincat import (
     UnknownObject,
     build_category,
     check_functor_laws,
+    components,
     functor_profile,
+    minimal_sets,
 )
 
 
@@ -175,13 +176,6 @@ class GpdCategory:
 
     def hcomp2(self, beta: str, alpha: str) -> str:
         return self.hcompose_arrows[(beta, alpha)]
-
-    def whisker_cell_arrow(self, g: str, alpha: str) -> str:
-        """g * alpha for a 1-cell g, as horizontal composition with id2(g)."""
-        return self.hcompose_arrows[(self.id2(g), alpha)]
-
-    def whisker_arrow_cell(self, beta: str, f: str) -> str:
-        return self.hcompose_arrows[(beta, self.id2(f))]
 
 
 def check_gcat(G: GpdCategory) -> None:
@@ -498,23 +492,7 @@ class ObjectClassification:
 
 
 def _components(g: Gpd) -> list[list[str]]:
-    index = {c: i for i, c in enumerate(g.cells)}
-    parent = list(range(len(g.cells)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a in g.arrows:
-        ra, rb = find(index[a.src]), find(index[a.dst])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[int, list[str]] = {}
-    for c in g.cells:
-        groups.setdefault(find(index[c]), []).append(c)
-    return [groups[r] for r in sorted(groups)]
+    return components(g.cells, ((a.src, a.dst) for a in g.arrows))
 
 
 def mapping_invariants(G: GpdCategory, x: str, y: str) -> MappingInvariants:
@@ -764,16 +742,9 @@ class InvarianceReport:
 
 
 def h_initial_condition(G: GpdFunctor) -> HInitialReport:
-    """Search each enriched comma for an h-initial object."""
-    witnesses: dict[str, str | None] = {}
-    for c in G.target.objects:
-        comma = enriched_comma_under(G, c)
-        found = None
-        for o in comma.base.objects:
-            if classify_object(comma.base, o).h_initial:
-                found = o
-                break
-        witnesses[c] = found
+    """The first h-initial object of each enriched comma, read from the
+    `"h_initial"` column of `gaft_fin_decide`'s table."""
+    witnesses = {c: row["h_initial"] for c, row in gaft_fin_decide(G).table.items()}
     return HInitialReport(all(w is not None for w in witnesses.values()), witnesses)
 
 
@@ -903,19 +874,7 @@ def is_weakly_initial_objects(G: GpdCategory, members) -> bool:
 
 def weakly_initial_object_sets(G: GpdCategory) -> list[tuple[str, ...]]:
     """Inclusion-minimal sets of objects reaching everything by a 1-cell."""
-    n = len(G.objects)
-    out = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            members = tuple(G.objects[i] for i in combo)
-            if not is_weakly_initial_objects(G, members):
-                continue
-            if all(
-                not is_weakly_initial_objects(G, members[:k] + members[k + 1 :])
-                for k in range(len(members))
-            ):
-                out.append(members)
-    return out
+    return minimal_sets(G.objects, lambda members: is_weakly_initial_objects(G, members))
 
 
 def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CLOSURE_BOUND = 10_000
 
@@ -77,7 +77,6 @@ class FinCategory:
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_identity_ids", frozenset(self.identity.values()))
         object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
-        object.__setattr__(self, "_mor_index", {m.id: i for i, m in enumerate(self.morphisms)})
         isos = set()
         for m in self.morphisms:
             for n in self._hom.get((m.dst, m.src), ()):
@@ -120,12 +119,6 @@ class FinCategory:
 
     def has_morphism(self, m: str) -> bool:
         return m in self._mor
-
-    def obj_index(self, x: str) -> int:
-        return self._obj_index[x]
-
-    def mor_index(self, m: str) -> int:
-        return self._mor_index[m]
 
     def nonidentity(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.morphisms if m.id not in self._identity_ids)
@@ -494,40 +487,48 @@ def functor_profile(F: FinFunctor) -> FunctorProfile:
 # -- generic searches used across the engine ------------------------------
 
 
-def all_functors(C: FinCategory, D: FinCategory) -> Iterator[FinFunctor]:
-    """Every functor C -> D, by backtracking over morphism assignments."""
-    nonid = C.nonidentity()
-    for objs in itertools.product(D.objects, repeat=len(C.objects)):
-        obj_map = dict(zip(C.objects, objs))
-        mor_map = {C.id_of(x): D.id_of(obj_map[x]) for x in C.objects}
-        candidates = [D.hom(obj_map[C.src(m)], obj_map[C.dst(m)]) for m in nonid]
-        if any(not cand for cand in candidates):
-            continue
-        yield from _extend_mor_map(C, D, obj_map, mor_map, nonid, candidates, 0)
+def minimal_sets(items: Sequence[str], holds: Callable[[tuple[str, ...]], bool]) -> list[tuple[str, ...]]:
+    """All inclusion-minimal subsets satisfying `holds`, by size, then in
+    lexicographic order of positions in `items`.
+
+    `holds` must be upward-closed: every superset of a satisfying set
+    satisfies it.  Then a set is minimal exactly when no subset one element
+    smaller satisfies it, so only those are tested.
+    """
+    out = []
+    for size in range(len(items) + 1):
+        for members in itertools.combinations(items, size):
+            if holds(members) and not any(
+                holds(members[:k] + members[k + 1 :]) for k in range(size)
+            ):
+                out.append(members)
+    return out
 
 
-def _extend_mor_map(C, D, obj_map, mor_map, nonid, candidates, i):
-    if i == len(nonid):
-        yield FinFunctor(C, D, dict(obj_map), dict(mor_map))
-        return
-    m = nonid[i]
-    for fm in candidates[i]:
-        mor_map[m] = fm
-        if _partial_functorial(C, D, mor_map, m):
-            yield from _extend_mor_map(C, D, obj_map, mor_map, nonid, candidates, i + 1)
-    del mor_map[m]
+def components(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
+    """Connected components of an undirected graph, by union-find.
 
+    Each component lists its nodes in the order of `nodes`, and components
+    come in the order of their first node.
+    """
+    index = {x: i for i, x in enumerate(nodes)}
+    parent = list(range(len(index)))
 
-def _partial_functorial(C, D, mor_map, new):
-    for (g, f), gf in C.compose_table.items():
-        if new not in (g, f, gf):
-            continue
-        mg, mf, mgf = mor_map.get(g), mor_map.get(f), mor_map.get(gf)
-        if mg is None or mf is None or mgf is None:
-            continue
-        if D.compose(mg, mf) != mgf:
-            return False
-    return True
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(index[a]), find(index[b])
+        if ra != rb:
+            # the least index stays the root, so roots order the components
+            parent[max(ra, rb)] = min(ra, rb)
+    groups: dict[int, list[str]] = {}
+    for x in nodes:
+        groups.setdefault(find(index[x]), []).append(x)
+    return list(groups.values())
 
 
 def natural_transformations(F: FinFunctor, G: FinFunctor) -> Iterator[dict[str, str]]:
@@ -602,21 +603,3 @@ def _iso_hom_assign(C, D, omap, homs, i, mmap):
             del mmap[m]
     return False
 
-
-def product_category(C: FinCategory, D: FinCategory) -> FinCategory:
-    """The product category; ids are rendered as "(c,d)" pairs."""
-    obj = lambda c, d: f"({c},{d})"
-    mid = lambda f, u: f"({f},{u})"
-    objects = [obj(c, d) for c in C.objects for d in D.objects]
-    morphisms = []
-    for f in C.morphisms:
-        for u in D.morphisms:
-            morphisms.append((mid(f.id, u.id), obj(f.src, u.src), obj(f.dst, u.dst)))
-    identity = {
-        obj(c, d): mid(C.id_of(c), D.id_of(d)) for c in C.objects for d in D.objects
-    }
-    compose = {}
-    for (g, f), gf in C.compose_table.items():
-        for (v, u), vu in D.compose_table.items():
-            compose[(mid(g, v), mid(f, u))] = mid(gf, vu)
-    return build_category(objects, morphisms, identity, compose, check=False)

@@ -16,6 +16,7 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     identity_functor,
+    minimal_sets,
     validate_category,
 )
 
@@ -191,10 +192,6 @@ def equalizer_cones(C: FinCategory, f: str, g: str) -> list[Cone]:
     return limit(C, parallel_diagram(C, f, g))
 
 
-def pullback_cones(C: FinCategory, f: str, g: str) -> list[Cone]:
-    return limit(C, cospan_diagram(C, f, g))
-
-
 def has_finite_limits(C: FinCategory) -> FiniteLimitsReport:
     """Check the generating triple: terminal object, binary products,
     equalizers.  The witness names the first missing limit."""
@@ -279,19 +276,7 @@ def is_weakly_initial(C: FinCategory, members) -> bool:
 
 def weakly_initial_sets(C: FinCategory) -> list[tuple[str, ...]]:
     """All inclusion-minimal weakly initial sets, in canonical order."""
-    n = len(C.objects)
-    minimal = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            members = tuple(C.objects[i] for i in combo)
-            if not is_weakly_initial(C, members):
-                continue
-            if all(
-                not is_weakly_initial(C, members[:k] + members[k + 1 :])
-                for k in range(len(members))
-            ):
-                minimal.append(members)
-    return minimal
+    return minimal_sets(C.objects, lambda members: is_weakly_initial(C, members))
 
 
 # -- cocones, weak pushouts, coproducts ------------------------------------

@@ -1,0 +1,40 @@
+"""Code with no caller is deleted.
+
+Every function, class and method defined in `src/finadj` must be named
+again somewhere in `src/`, `tests/` or `demos/`.  Its own definition does
+not count, and neither does a re-export from an `__init__.py`.  Dunder
+methods are exempt: the interpreter calls them.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "finadj"
+
+
+def _definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield f"{path.name}:{node.lineno}", node.name
+
+
+def test_every_definition_is_referenced():
+    texts = [
+        path.read_text()
+        for folder in ("src", "tests", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    definitions = list(_definitions())
+    defined = Counter(name for _, name in definitions)
+    unreferenced = []
+    for where, name in definitions:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if sum(len(word.findall(text)) for text in texts) <= defined[name]:
+            unreferenced.append(f"{where} {name}")
+    assert not unreferenced, unreferenced

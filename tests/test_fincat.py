@@ -1,3 +1,6 @@
+import itertools
+from collections import deque
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,11 +14,13 @@ from finadj.fincat import (
     UnknownObject,
     FinFunctor,
     check_laws,
+    components,
     compose_functors,
     functor_profile,
     hom_set,
     identity_functor,
     isomorphic,
+    minimal_sets,
     naturally_isomorphic,
     opposite,
     opposite_functor,
@@ -281,3 +286,70 @@ def test_laws_reassert_on_corpus(name):
 def test_all_pair_isomorphism_checks_are_reflexive_only(a, b):
     same = isomorphic(CATS[a], CATS[b])
     assert same == (a == b)
+
+
+# -- the shared searches, against references that follow the definitions ----
+
+
+def _names(draw, n):
+    """n distinct node names whose sorted order is not their given order."""
+    return draw(st.permutations([f"v{i}" for i in range(n)]))
+
+
+@st.composite
+def upward_closed_predicates(draw):
+    """Items, and a predicate "contains one of these sets" over them."""
+    items = _names(draw, draw(st.integers(0, 6)))
+    masks = draw(st.lists(st.integers(0, 2 ** len(items) - 1), max_size=4))
+    bases = [{x for i, x in enumerate(items) if m >> i & 1} for m in masks]
+    return items, lambda members: any(b <= set(members) for b in bases)
+
+
+def _minimal_sets_reference(items, holds):
+    subsets = [s for k in range(len(items) + 1) for s in itertools.combinations(items, k)]
+    satisfying = [s for s in subsets if holds(s)]
+    return [s for s in satisfying if not any(set(t) < set(s) for t in satisfying)]
+
+
+@given(upward_closed_predicates())
+def test_minimal_sets_matches_definition(case):
+    items, holds = case
+    assert minimal_sets(items, holds) == _minimal_sets_reference(items, holds)
+
+
+@st.composite
+def graphs(draw):
+    nodes = _names(draw, draw(st.integers(0, 8)))
+    if not nodes:
+        return nodes, []
+    node = st.sampled_from(nodes)
+    return nodes, draw(st.lists(st.tuples(node, node), max_size=12))
+
+
+def _components_reference(nodes, edges):
+    """Breadth-first search from each unvisited node in the given order."""
+    adjacent = {x: [] for x in nodes}
+    for a, b in edges:
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen, out = set(), []
+    for x in nodes:
+        if x in seen:
+            continue
+        seen.add(x)
+        found, queue = [], deque([x])
+        while queue:
+            y = queue.popleft()
+            found.append(y)
+            for z in adjacent[y]:
+                if z not in seen:
+                    seen.add(z)
+                    queue.append(z)
+        out.append(sorted(found, key=nodes.index))
+    return out
+
+
+@given(graphs())
+def test_components_matches_breadth_first_search(graph):
+    nodes, edges = graph
+    assert components(nodes, edges) == _components_reference(nodes, edges)
