@@ -33,7 +33,7 @@ def main():
     comma = enriched_comma_under(G, "x")
     o = comma.base.objects[0]
     print("\nenriched comma at x has one object with",
-          len(comma.base.hom(o, o).cells), "endo 1-cells")
+          len(comma.base.hom(o, o).objects), "endo 1-cells")
     fin = gaft_fin_decide(G)
     print("enriched verdict:", "exists" if fin.exists else f"none at {fin.witness!r}")
 

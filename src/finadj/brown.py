@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import limits
-from .fincat import CategoryError, FinCategory, FinFunctor, UnknownObject, minimal_sets
+from .fincat import CategoryError, FinCategory, FinFunctor, UnknownObject, check_shape, minimal_sets
 
 
 class CoproductAbsent(CategoryError):
@@ -56,6 +56,7 @@ class SetFunctor:
 
 
 def validate_set_functor(C: FinCategory, raw: Mapping) -> SetFunctor:
+    check_shape(raw, {"on_objects": {str: [str]}, "on_morphisms": {str: {str: str}}})
     on_objects = {x: tuple(v) for x, v in raw["on_objects"].items()}
     on_morphisms = {f: dict(t) for f, t in raw["on_morphisms"].items()}
     for x in C.objects:

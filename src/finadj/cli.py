@@ -49,6 +49,8 @@ def _load_json(path: str) -> tuple[dict, str]:
 
 
 def _need(raw: dict, key: str, path: str):
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: expected a JSON object")
     if key not in raw:
         raise ParseError(f"{path}: missing required key {key!r}")
     return raw[key]

@@ -16,6 +16,7 @@ module is to compute on instances where the two disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import limits
 from .adjoint import GaftResult, comma_under, gaft_decide
@@ -28,6 +29,8 @@ from .fincat import (
     UnknownObject,
     build_category,
     check_functor_laws,
+    check_laws,
+    check_shape,
     components,
     functor_profile,
     minimal_sets,
@@ -42,126 +45,77 @@ class InvariantViolation(CategoryError):
     """A construction-level guarantee failed to hold."""
 
 
-@dataclass(frozen=True)
-class TwoCell:
-    id: str
-    src: str
-    dst: str
+def _law(layer: str, check, *args) -> None:
+    """Run a `fincat` check, reporting its failure as a GpdLawViolation
+    whose message names the layer checked."""
+    try:
+        check(*args)
+    except CategoryError as exc:
+        raise GpdLawViolation(f"{layer}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class Gpd:
-    """A finite groupoid: 1-cells as objects, invertible 2-cells as arrows.
+def _build_gpd(cells, arrows, vcompose) -> FinCategory:
+    """A hom groupoid: 1-cells as objects, 2-cells as morphisms, vertical
+    composition as the table.
 
-    `identity` and `inverse` are derived during validation.
+    The identity 2-cell of a 1-cell is its idempotent endo-2-cell: in a
+    groupoid e . e = e forces e to be the identity, so the identity is the
+    one idempotent there is.  `check_gcat` asserts the category laws and
+    that every 2-cell is invertible.
     """
-
-    cells: tuple[str, ...]
-    arrows: tuple[TwoCell, ...]
-    vcompose: dict[tuple[str, str], str]
-    identity: dict[str, str]
-    inverse: dict[str, str]
-
-    def arrows_between(self, f: str, g: str) -> tuple[str, ...]:
-        return tuple(a.id for a in self.arrows if a.src == f and a.dst == g)
-
-
-def _build_gpd(cells, arrows, vcompose) -> Gpd:
-    cells = tuple(cells)
-    arrows = tuple(TwoCell(*a) if not isinstance(a, TwoCell) else a for a in arrows)
-    vcompose = dict(vcompose)
-    cellset = set(cells)
-    amap = {a.id: a for a in arrows}
-    if len(amap) != len(arrows):
-        raise GpdLawViolation("duplicate 2-cell identifiers in a hom groupoid")
+    arrows = tuple(Morphism(*a) for a in arrows)
+    identity: dict[str, str] = {}
     for a in arrows:
-        if a.src not in cellset or a.dst not in cellset:
-            raise GpdLawViolation(f"2-cell {a.id!r} has endpoints outside the hom")
-    for (b, a), c in vcompose.items():
-        if a not in amap or b not in amap or c not in amap:
-            raise GpdLawViolation(f"compose2 entry ({b}, {a}) references unknown 2-cells")
-        if amap[a].dst != amap[b].src:
-            raise GpdLawViolation(f"compose2 entry ({b}, {a}) is not composable")
-        if amap[c].src != amap[a].src or amap[c].dst != amap[b].dst:
-            raise GpdLawViolation(f"compose2 entry ({b}, {a}) has a result with wrong endpoints")
-    for a in arrows:
-        for b in arrows:
-            if a.dst == b.src and (b.id, a.id) not in vcompose:
-                raise GpdLawViolation(f"compose2 is missing the pair ({b.id}, {a.id})")
-    for a in arrows:
-        for b in arrows:
-            if a.dst != b.src:
-                continue
-            ba = vcompose[(b.id, a.id)]
-            for c in arrows:
-                if b.dst != c.src:
-                    continue
-                if vcompose[(c.id, ba)] != vcompose[(vcompose[(c.id, b.id)], a.id)]:
-                    raise GpdLawViolation("vertical composition is not associative")
-    identity = {}
-    for f in cells:
-        endos = [a for a in arrows if a.src == f and a.dst == f]
-        units = [
-            e
-            for e in endos
-            if all(vcompose[(e.id, a.id)] == a.id for a in arrows if a.dst == f)
-            and all(vcompose[(b.id, e.id)] == b.id for b in arrows if b.src == f)
-        ]
-        if len(units) != 1:
-            raise GpdLawViolation(f"1-cell {f!r} has {len(units)} identity 2-cells")
-        identity[f] = units[0].id
-    inverse = {}
-    for a in arrows:
-        invs = [
-            b.id
-            for b in arrows
-            if b.src == a.dst
-            and b.dst == a.src
-            and vcompose[(b.id, a.id)] == identity[a.src]
-            and vcompose[(a.id, b.id)] == identity[a.dst]
-        ]
-        if not invs:
-            raise GpdLawViolation(f"2-cell {a.id!r} is not invertible")
-        inverse[a.id] = invs[0]
-    return Gpd(cells, arrows, vcompose, identity, inverse)
+        if a.src == a.dst and vcompose.get((a.id, a.id)) == a.id:
+            identity.setdefault(a.src, a.id)
+    return FinCategory(tuple(cells), arrows, identity, dict(vcompose))
 
 
-_EMPTY_GPD = Gpd((), (), {}, {}, {})
+_EMPTY_GPD = FinCategory((), (), {}, {})
 
 
 @dataclass(frozen=True)
 class GpdCategory:
     objects: tuple[str, ...]
-    homs: dict[tuple[str, str], Gpd]
+    homs: dict[tuple[str, str], FinCategory]
     identities: dict[str, str]
     hcompose_cells: dict[tuple[str, str], str]
     hcompose_arrows: dict[tuple[str, str], str]
 
     def __post_init__(self):
-        cell_loc, arrow_loc, arrow_obj = {}, {}, {}
+        cell_loc, arrow_loc = {}, {}
         cells_global, arrows_global = [], []
         for (x, y), g in self.homs.items():
-            for c in g.cells:
+            for c in g.objects:
                 cell_loc[c] = (x, y)
                 cells_global.append(c)
-            for a in g.arrows:
+            for a in g.morphisms:
                 arrow_loc[a.id] = (x, y)
-                arrow_obj[a.id] = a
                 arrows_global.append(a.id)
         object.__setattr__(self, "_cell_loc", cell_loc)
         object.__setattr__(self, "_arrow_loc", arrow_loc)
-        object.__setattr__(self, "_arrow", arrow_obj)
         object.__setattr__(self, "_cells_global", tuple(cells_global))
         object.__setattr__(self, "_arrows_global", tuple(arrows_global))
 
-    def hom(self, x: str, y: str) -> Gpd:
+    @cached_property
+    def cell_layer(self) -> FinCategory:
+        """The objects and 1-cells under horizontal composition."""
+        cells = tuple(Morphism(c, *self._cell_loc[c]) for c in self._cells_global)
+        return FinCategory(self.objects, cells, self.identities, self.hcompose_cells)
+
+    @cached_property
+    def arrow_layer(self) -> FinCategory:
+        """The objects and 2-cells under horizontal composition; the
+        identity of x is the identity 2-cell of its identity 1-cell."""
+        arrows = tuple(Morphism(a, *self._arrow_loc[a]) for a in self._arrows_global)
+        identity = {x: self.id2(self.identities[x]) for x in self.objects}
+        return FinCategory(self.objects, arrows, identity, self.hcompose_arrows)
+
+    def hom(self, x: str, y: str) -> FinCategory:
         return self.homs.get((x, y), _EMPTY_GPD)
 
     def cell_loc(self, c: str) -> tuple[str, str]:
         return self._cell_loc[c]
-
-    def arrow(self, a: str) -> TwoCell:
-        return self._arrow[a]
 
     def id2(self, cell: str) -> str:
         x, y = self._cell_loc[cell]
@@ -169,7 +123,7 @@ class GpdCategory:
 
     def vcomp(self, b: str, a: str) -> str:
         loc = self._arrow_loc[a]
-        return self.homs[loc].vcompose[(b, a)]
+        return self.homs[loc].compose_table[(b, a)]
 
     def hcomp(self, g: str, f: str) -> str:
         return self.hcompose_cells[(g, f)]
@@ -179,6 +133,10 @@ class GpdCategory:
 
 
 def check_gcat(G: GpdCategory) -> None:
+    """Assert every enrichment law, through `check_laws` on each hom
+    groupoid and on the 1-cell and 2-cell layers, and `check_functor_laws`
+    on the source, target and identity-2-cell functors between the layers.
+    Interchange is the one law checked here directly."""
     if len(set(G.objects)) != len(G.objects):
         raise GpdLawViolation("duplicate object identifiers")
     objset = set(G.objects)
@@ -193,95 +151,53 @@ def check_gcat(G: GpdCategory) -> None:
         e = G.identities.get(x)
         if e is None or G._cell_loc.get(e) != (x, x):
             raise GpdLawViolation(f"object {x!r} lacks an identity 1-cell in hom({x!r}, {x!r})")
-    # horizontal composition of 1-cells: totality, endpoints, units, associativity
-    for (g, f), gf in G.hcompose_cells.items():
-        if f not in G._cell_loc or g not in G._cell_loc or gf not in G._cell_loc:
-            raise GpdLawViolation(f"hcompose entry ({g}, {f}) references unknown 1-cells")
-        (x, y), (y2, z) = G._cell_loc[f], G._cell_loc[g]
-        if y != y2:
-            raise GpdLawViolation(f"hcompose entry ({g}, {f}) is not composable")
-        if G._cell_loc[gf] != (x, z):
-            raise GpdLawViolation(f"hcompose entry ({g}, {f}) lands in the wrong hom")
-    for f in G._cells_global:
-        x, y = G._cell_loc[f]
-        for g in G._cells_global:
-            if G._cell_loc[g][0] != y:
-                continue
-            if (g, f) not in G.hcompose_cells:
-                raise GpdLawViolation(f"hcompose is missing the pair ({g}, {f})")
-    for f in G._cells_global:
-        x, y = G._cell_loc[f]
-        if G.hcomp(G.identities[y], f) != f or G.hcomp(f, G.identities[x]) != f:
-            raise GpdLawViolation(f"horizontal unit law fails at 1-cell {f!r}")
-    for f in G._cells_global:
-        for g in G._cells_global:
-            if G._cell_loc[g][0] != G._cell_loc[f][1]:
-                continue
-            gf = G.hcomp(g, f)
-            for h in G._cells_global:
-                if G._cell_loc[h][0] != G._cell_loc[g][1]:
-                    continue
-                if G.hcomp(h, gf) != G.hcomp(G.hcomp(h, g), f):
-                    raise GpdLawViolation("horizontal composition of 1-cells is not associative")
-    # horizontal composition of 2-cells: totality, endpoints, functoriality
-    for (b, a), c in G.hcompose_arrows.items():
-        if a not in G._arrow_loc or b not in G._arrow_loc or c not in G._arrow_loc:
-            raise GpdLawViolation(f"hcompose entry ({b}, {a}) references unknown 2-cells")
-        (x, y), (y2, z) = G._arrow_loc[a], G._arrow_loc[b]
-        if y != y2:
-            raise GpdLawViolation(f"2-cell hcompose entry ({b}, {a}) is not composable")
-        aa, bb, cc = G.arrow(a), G.arrow(b), G.arrow(c)
-        if G._arrow_loc[c] != (x, z):
-            raise GpdLawViolation(f"2-cell hcompose entry ({b}, {a}) lands in the wrong hom")
-        if cc.src != G.hcomp(bb.src, aa.src) or cc.dst != G.hcomp(bb.dst, aa.dst):
-            raise GpdLawViolation(f"2-cell hcompose entry ({b}, {a}) has wrong endpoints")
-    for a in G._arrows_global:
-        (x, y) = G._arrow_loc[a]
-        for b in G._arrows_global:
-            if G._arrow_loc[b][0] != y:
-                continue
-            if (b, a) not in G.hcompose_arrows:
-                raise GpdLawViolation(f"2-cell hcompose is missing the pair ({b}, {a})")
-    for f in G._cells_global:
-        for g in G._cells_global:
-            if G._cell_loc[g][0] != G._cell_loc[f][1]:
-                continue
-            if G.hcomp2(G.id2(g), G.id2(f)) != G.id2(G.hcomp(g, f)):
-                raise GpdLawViolation(f"identity 2-cells are not preserved over ({g}, {f})")
-    for a in G._arrows_global:
-        for b in G._arrows_global:
-            if G._arrow_loc[b][0] != G._arrow_loc[a][1]:
-                continue
-            ba = G.hcomp2(b, a)
-            for c in G._arrows_global:
-                if G._arrow_loc[c][0] != G._arrow_loc[b][1]:
-                    continue
-                if G.hcomp2(c, ba) != G.hcomp2(G.hcomp2(c, b), a):
-                    raise GpdLawViolation("horizontal composition of 2-cells is not associative")
-    # unit 2-cells of identity 1-cells act trivially
-    for a in G._arrows_global:
-        x, y = G._arrow_loc[a]
-        if G.hcomp2(G.id2(G.identities[y]), a) != a:
-            raise GpdLawViolation(f"left horizontal unit fails at 2-cell {a!r}")
-        if G.hcomp2(a, G.id2(G.identities[x])) != a:
-            raise GpdLawViolation(f"right horizontal unit fails at 2-cell {a!r}")
-    # interchange
-    for (x, y), gxy in G.homs.items():
-        for (y2, z), gyz in G.homs.items():
+    for (x, y), g in G.homs.items():
+        _law(f"hom {x}|{y}", check_laws, g)
+        for a in g.morphisms:
+            if not g.is_iso(a.id):
+                raise GpdLawViolation(f"hom {x}|{y}: 2-cell {a.id!r} is not invertible")
+    cells, arrows = G.cell_layer, G.arrow_layer
+    _law("1-cells", check_laws, cells)
+    _law("2-cells", check_laws, arrows)
+    objs = {x: x for x in G.objects}
+    src = {a.id: a.src for g in G.homs.values() for a in g.morphisms}
+    dst = {a.id: a.dst for g in G.homs.values() for a in g.morphisms}
+    id2 = {c: G.id2(c) for c in G._cells_global}
+    _law("source", check_functor_laws, FinFunctor(arrows, cells, objs, src))
+    _law("target", check_functor_laws, FinFunctor(arrows, cells, objs, dst))
+    _law("identity 2-cells", check_functor_laws, FinFunctor(cells, arrows, objs, id2))
+    vpairs = {loc: list(g.composable_pairs()) for loc, g in G.homs.items()}
+    for (x, y), pairs_xy in vpairs.items():
+        for (y2, z), pairs_yz in vpairs.items():
             if y2 != y:
                 continue
-            for a in gxy.arrows:
-                for a2 in gxy.arrows:
-                    if a.dst != a2.src:
-                        continue
-                    for b in gyz.arrows:
-                        for b2 in gyz.arrows:
-                            if b.dst != b2.src:
-                                continue
-                            lhs = G.hcomp2(G.vcomp(b2.id, b.id), G.vcomp(a2.id, a.id))
-                            rhs = G.vcomp(G.hcomp2(b2.id, a2.id), G.hcomp2(b.id, a.id))
-                            if lhs != rhs:
-                                raise GpdLawViolation("interchange law fails")
+            for a2, a in pairs_xy:
+                for b2, b in pairs_yz:
+                    lhs = G.hcomp2(G.vcomp(b2, b), G.vcomp(a2, a))
+                    rhs = G.vcomp(G.hcomp2(b2, a2), G.hcomp2(b, a))
+                    if lhs != rhs:
+                        raise GpdLawViolation("interchange law fails")
+
+
+_GCAT_SHAPE = {
+    "objects": [str],
+    "homs?": {
+        str: {
+            "cells?": [str],
+            "twocells?": [{"id": str, "src": str, "dst": str}],
+            "compose2?": [(str, str, str)],
+        }
+    },
+    "identities?": {str: str},
+    "hcompose?": {"cells?": [(str, str, str)], "twocells?": [(str, str, str)]},
+}
+_GFUNCTOR_SHAPE = {
+    "source?": dict,
+    "target?": dict,
+    "obj_map": {str: str},
+    "cell_map": {str: str},
+    "arrow_map": {str: str},
+}
 
 
 def validate_gcat(raw: dict) -> GpdCategory:
@@ -291,6 +207,7 @@ def validate_gcat(raw: dict) -> GpdCategory:
     vertical table "compose2"; horizontal composition sits in "hcompose"
     with per-level tables "cells" and "twocells".
     """
+    _law("input", check_shape, raw, _GCAT_SHAPE)
     objects = list(raw["objects"])
     for x in objects:
         if "|" in x:
@@ -323,9 +240,9 @@ def gcat_to_dict(G: GpdCategory) -> dict:
         "objects": list(G.objects),
         "homs": {
             f"{x}|{y}": {
-                "cells": list(g.cells),
-                "twocells": [{"id": a.id, "src": a.src, "dst": a.dst} for a in g.arrows],
-                "compose2": [[b, a, c] for (b, a), c in g.vcompose.items()],
+                "cells": list(g.objects),
+                "twocells": [{"id": a.id, "src": a.src, "dst": a.dst} for a in g.morphisms],
+                "compose2": [[b, a, c] for (b, a), c in g.compose_table.items()],
             }
             for (x, y), g in G.homs.items()
         },
@@ -368,7 +285,7 @@ def embed(C: FinCategory) -> GpdCategory:
 
 
 def is_discrete(G: GpdCategory) -> bool:
-    return all(len(g.arrows) == len(g.cells) for g in G.homs.values())
+    return all(len(g.morphisms) == len(g.objects) for g in G.homs.values())
 
 
 # -- enriched functors ---------------------------------------------------
@@ -384,43 +301,20 @@ class GpdFunctor:
 
 
 def check_gfunctor(F: GpdFunctor) -> None:
+    """Functoriality on the 1-cell layer, on the 2-cell layer, and on each
+    hom groupoid, which together are every enriched-functor law."""
     S, T = F.source, F.target
-    for x in S.objects:
-        if F.obj_map.get(x) not in T.objects:
-            raise GpdLawViolation(f"object {x!r} has no valid image")
-    for c in S._cells_global:
-        x, y = S.cell_loc(c)
-        img = F.cell_map.get(c)
-        if img is None or T._cell_loc.get(img) != (F.obj_map[x], F.obj_map[y]):
-            raise GpdLawViolation(f"1-cell {c!r} has no valid image")
-    for a in S._arrows_global:
-        x, y = S._arrow_loc[a]
-        img = F.arrow_map.get(a)
-        if img is None or T._arrow_loc.get(img) != (F.obj_map[x], F.obj_map[y]):
-            raise GpdLawViolation(f"2-cell {a!r} has no valid image")
-        cell = S.arrow(a)
-        tc = T.arrow(img)
-        if tc.src != F.cell_map[cell.src] or tc.dst != F.cell_map[cell.dst]:
-            raise GpdLawViolation(f"2-cell {a!r} image has wrong endpoints")
-    for x in S.objects:
-        if F.cell_map[S.identities[x]] != T.identities[F.obj_map[x]]:
-            raise GpdLawViolation(f"identity 1-cell of {x!r} is not preserved")
-    for c in S._cells_global:
-        if F.arrow_map[S.id2(c)] != T.id2(F.cell_map[c]):
-            raise GpdLawViolation(f"identity 2-cell of {c!r} is not preserved")
-    for (g, f), gf in S.hcompose_cells.items():
-        if T.hcomp(F.cell_map[g], F.cell_map[f]) != F.cell_map[gf]:
-            raise GpdLawViolation(f"horizontal composite ({g}, {f}) is not preserved")
-    for (b, a), c in S.hcompose_arrows.items():
-        if T.hcomp2(F.arrow_map[b], F.arrow_map[a]) != F.arrow_map[c]:
-            raise GpdLawViolation(f"2-cell horizontal composite ({b}, {a}) is not preserved")
-    for g in S.homs.values():
-        for (b, a), c in g.vcompose.items():
-            if T.vcomp(F.arrow_map[b], F.arrow_map[a]) != F.arrow_map[c]:
-                raise GpdLawViolation(f"vertical composite ({b}, {a}) is not preserved")
+    _law("1-cells", check_functor_laws, FinFunctor(S.cell_layer, T.cell_layer, F.obj_map, F.cell_map))
+    _law("2-cells", check_functor_laws, FinFunctor(S.arrow_layer, T.arrow_layer, F.obj_map, F.arrow_map))
+    for (x, y), g in S.homs.items():
+        cell_map = {c: F.cell_map[c] for c in g.objects}
+        arrow_map = {a.id: F.arrow_map[a.id] for a in g.morphisms}
+        target = T.hom(F.obj_map[x], F.obj_map[y])
+        _law(f"hom {x}|{y}", check_functor_laws, FinFunctor(g, target, cell_map, arrow_map))
 
 
 def validate_gfunctor(raw: dict, S: GpdCategory | None = None, T: GpdCategory | None = None) -> GpdFunctor:
+    _law("input", check_shape, raw, _GFUNCTOR_SHAPE)
     if S is None:
         S = validate_gcat(raw["source"])
     if T is None:
@@ -491,8 +385,8 @@ class ObjectClassification:
     weakly_initial_singleton: bool
 
 
-def _components(g: Gpd) -> list[list[str]]:
-    return components(g.cells, ((a.src, a.dst) for a in g.arrows))
+def _components(g: FinCategory) -> list[list[str]]:
+    return components(g.objects, ((a.src, a.dst) for a in g.morphisms))
 
 
 def mapping_invariants(G: GpdCategory, x: str, y: str) -> MappingInvariants:
@@ -500,7 +394,7 @@ def mapping_invariants(G: GpdCategory, x: str, y: str) -> MappingInvariants:
         raise UnknownObject(f"({x!r}, {y!r}) are not objects")
     g = G.hom(x, y)
     comps = _components(g)
-    orders = tuple(len(g.arrows_between(comp[0], comp[0])) for comp in comps)
+    orders = tuple(len(g.hom(comp[0], comp[0])) for comp in comps)
     return MappingInvariants(len(comps), orders)
 
 
@@ -531,35 +425,26 @@ def homotopy_category(G: GpdCategory) -> HomotopyResult:
     """Quotient each hom groupoid to its components.
 
     Morphism ids are the first 1-cell of each component in declared order;
-    the induced composition is checked to be independent of representatives.
+    that composition descends to components is checked by asserting that
+    the quotient map from the 1-cell layer is a functor.
     """
     cell_class: dict[str, str] = {}
-    reps: list[str] = []
-    members: dict[str, list[str]] = {}
-    for (x, y), g in G.homs.items():
+    for g in G.homs.values():
         for comp in _components(g):
-            rep = comp[0]
             for c in comp:
-                cell_class[c] = rep
-            members[rep] = comp
-    order = {c: i for i, c in enumerate(G._cells_global)}
-    reps = sorted(members, key=lambda r: order[r])
-    morphisms = [Morphism(r, *G.cell_loc(r)) for r in reps]
+                cell_class[c] = comp[0]
+    reps = [c for c in G._cells_global if cell_class[c] == c]
     identity = {x: cell_class[G.identities[x]] for x in G.objects}
-    compose = {}
-    for g in reps:
-        for f in reps:
-            if G.cell_loc(f)[1] != G.cell_loc(g)[0]:
-                continue
-            value = cell_class[G.hcomp(g, f)]
-            for g2 in members[g]:
-                for f2 in members[f]:
-                    if cell_class[G.hcomp(g2, f2)] != value:
-                        raise InvariantViolation(
-                            "composition does not descend to hom components"
-                        )
-            compose[(g, f)] = value
-    C = build_category(G.objects, [(m.id, m.src, m.dst) for m in morphisms], identity, compose)
+    compose = {
+        (g, f): cell_class[gf]
+        for (g, f), gf in G.hcompose_cells.items()
+        if cell_class[g] == g and cell_class[f] == f
+    }
+    C = build_category(G.objects, [(r, *G.cell_loc(r)) for r in reps], identity, compose)
+    try:
+        check_functor_laws(FinFunctor(G.cell_layer, C, {x: x for x in G.objects}, cell_class))
+    except CategoryError as exc:
+        raise InvariantViolation("composition does not descend to hom components") from exc
     return HomotopyResult(C, cell_class)
 
 
@@ -603,7 +488,7 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     obj_id = lambda d, u: f"({d},{u})"
     objects, pairs = [], {}
     for d in D.objects:
-        for u in Ccal.hom(c, G.obj_map[d]).cells:
+        for u in Ccal.hom(c, G.obj_map[d]).objects:
             o = obj_id(d, u)
             objects.append(o)
             pairs[o] = (d, u)
@@ -617,9 +502,9 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
         for o2 in objects:
             d2, u2 = pairs[o2]
             target_hom = Ccal.hom(c, G.obj_map[d2])
-            for phi in D.hom(d, d2).cells:
+            for phi in D.hom(d, d2).objects:
                 comp = Ccal.hcomp(G.cell_map[phi], u)
-                for alpha in target_hom.arrows:
+                for alpha in target_hom.morphisms:
                     if alpha.src != comp or alpha.dst != u2:
                         continue
                     cid = cell_id(phi, alpha.id, o)
@@ -635,14 +520,13 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
         d, u = pairs[o]
         d2, _ = pairs[o2]
         hom_d = D.hom(d, d2)
-        for m in hom_d.arrows:
+        for m in hom_d.morphisms:
             if m.src != phi:
                 continue
             # the target is forced: alpha == alpha' . (G(m) * 1_u), so
             # alpha' = alpha . (G(m) * 1_u)^{-1}, using invertibility
             w = Ccal.hcomp2(G.arrow_map[m.id], Ccal.id2(u))
-            loc_w = Ccal._arrow_loc[w]
-            winv = Ccal.homs[loc_w].inverse[w]
+            winv = Ccal.homs[Ccal._arrow_loc[w]].inverse(w)
             alpha2 = Ccal.vcomp(alpha, winv)
             tgt = cell_id(m.dst, alpha2, o)
             if tgt not in cell_info:
@@ -864,7 +748,7 @@ def homotopy_adjoint_compare(
 
 
 def _object_reaches(G: GpdCategory, x: str, y: str) -> bool:
-    return bool(G.hom(x, y).cells)
+    return bool(G.hom(x, y).objects)
 
 
 def is_weakly_initial_objects(G: GpdCategory, members) -> bool:

@@ -47,6 +47,54 @@ class NotFunctorial(CategoryError):
     pass
 
 
+class ShapeError(CategoryError):
+    """Decoded JSON lacks the documented shape; the message names the path."""
+
+
+def check_shape(value, schema, path: str = "$") -> None:
+    """Check decoded JSON against a schema before anything indexes into it.
+
+    A schema is a type (`str`, `int`, `dict`), `[s]` for a list of values
+    matching s, a tuple `(s1, ..., sn)` for a list of exactly n values
+    matching s1..sn in turn (tuples pass for lists, as internal callers
+    build them), `{str: s}` for an object whose values match s,
+    or `{"key": s, ...}` for an object with those keys, where a key written
+    with a trailing "?" may be absent.  Raises ShapeError naming the first
+    offending path, such as `$.morphisms[2]`.
+    """
+    if isinstance(schema, type):
+        if not isinstance(value, schema):
+            raise ShapeError(f"{path}: expected {schema.__name__}, got {type(value).__name__}")
+    elif isinstance(schema, (list, tuple)):
+        if not isinstance(value, (list, tuple)):
+            raise ShapeError(f"{path}: expected a list, got {type(value).__name__}")
+        if isinstance(schema, tuple) and len(value) != len(schema):
+            raise ShapeError(f"{path}: expected {len(schema)} entries, got {len(value)}")
+        for i, v in enumerate(value):
+            check_shape(v, schema[0] if isinstance(schema, list) else schema[i], f"{path}[{i}]")
+    elif not isinstance(value, dict):
+        raise ShapeError(f"{path}: expected an object, got {type(value).__name__}")
+    elif str in schema:
+        for k, v in value.items():
+            check_shape(v, schema[str], f"{path}.{k}")
+    else:
+        for key, s in schema.items():
+            name = key.rstrip("?")
+            if name in value:
+                check_shape(value[name], s, f"{path}.{name}")
+            elif not key.endswith("?"):
+                raise ShapeError(f"{path}: missing key {name!r}")
+
+
+_CATEGORY_SHAPE = {
+    "objects?": [str],
+    "morphisms?": [{"id": str, "src": str, "dst": str}],
+    "identities?": {str: str},
+    "compose?": [(str, str, str)],
+}
+_FUNCTOR_SHAPE = {"source?": dict, "target?": dict, "obj_map": {str: str}, "mor_map?": {str: str}}
+
+
 @dataclass(frozen=True)
 class Morphism:
     id: str
@@ -77,16 +125,19 @@ class FinCategory:
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_identity_ids", frozenset(self.identity.values()))
         object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
-        isos = set()
+        inverse = {}
         for m in self.morphisms:
+            unit_src, unit_dst = self.identity.get(m.src), self.identity.get(m.dst)
+            if unit_src is None or unit_dst is None:
+                continue
             for n in self._hom.get((m.dst, m.src), ()):
                 if (
-                    self.compose_table.get((n, m.id)) == self.identity[m.src]
-                    and self.compose_table.get((m.id, n)) == self.identity[m.dst]
+                    self.compose_table.get((n, m.id)) == unit_src
+                    and self.compose_table.get((m.id, n)) == unit_dst
                 ):
-                    isos.add(m.id)
+                    inverse[m.id] = n
                     break
-        object.__setattr__(self, "_isos", frozenset(isos))
+        object.__setattr__(self, "_inverse", inverse)
 
     # -- basic accessors -------------------------------------------------
 
@@ -112,7 +163,10 @@ class FinCategory:
         return m in self._identity_ids
 
     def is_iso(self, m: str) -> bool:
-        return m in self._isos
+        return m in self._inverse
+
+    def inverse(self, m: str) -> str:
+        return self._inverse[m]
 
     def has_object(self, x: str) -> bool:
         return x in self._obj_index
@@ -154,6 +208,9 @@ def check_laws(C: FinCategory) -> None:
             raise IdentityViolation(f"object {x!r} has no identity morphism")
         if C.src(e) != x or C.dst(e) != x:
             raise IdentityViolation(f"identity {e!r} of {x!r} is not an endomorphism of it")
+    stray = C.identity.keys() - C._obj_index.keys()
+    if stray:
+        raise UnknownObject(f"identities are declared for unknown objects {sorted(stray)}")
     for m in C.morphisms:
         if not C.has_object(m.src) or not C.has_object(m.dst):
             raise UnknownObject(f"morphism {m.id!r} has unknown endpoints")
@@ -221,6 +278,7 @@ def validate_category(
     generators, subject to `closure_bound`.  With `require_total` a partial
     table is an error instead.
     """
+    check_shape(raw, _CATEGORY_SHAPE)
     objects = list(raw.get("objects", []))
     if len(set(objects)) != len(objects):
         raise UnknownObject("duplicate object identifiers")
@@ -241,6 +299,8 @@ def validate_category(
             raise IdentityViolation(f"identity of {x!r} is not a declared morphism")
     endpoints = {mid: (src, dst) for mid, src, dst in raw_mors}
     for x, e in identity.items():
+        if x not in obj_set:
+            raise UnknownObject(f"identity {e!r} is declared for unknown object {x!r}")
         if endpoints[e] != (x, x):
             raise IdentityViolation(f"identity {e!r} of {x!r} is not an endomorphism of it")
 
@@ -370,6 +430,9 @@ class FunctorProfile:
 
 def check_functor_laws(F: FinFunctor) -> None:
     C, D = F.source, F.target
+    stray = (F.obj_map.keys() - C._obj_index.keys()) | (F.mor_map.keys() - C._mor.keys())
+    if stray:
+        raise NotFunctorial(f"{sorted(stray)} are assigned images but are not in the source")
     for x in C.objects:
         if F.obj_map.get(x) is None or not D.has_object(F.obj_map[x]):
             raise NotFunctorial(f"object {x!r} has no valid image")
@@ -394,6 +457,7 @@ def validate_functor(raw: Mapping, C: FinCategory | None = None, D: FinCategory 
     saturated from the declared entries; any conflict or unreachable
     morphism raises NotFunctorial naming the offender.
     """
+    check_shape(raw, _FUNCTOR_SHAPE)
     if C is None:
         C = validate_category(raw["source"])
     if D is None:

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from .fincat import CategoryError, FinCategory
+from .fincat import CategoryError, FinCategory, check_shape
 from .presentation import close_presentation
 
 
@@ -90,13 +90,22 @@ class TruncSSet:
 
 
 def sset_from_dict(raw: dict) -> TruncSSet:
-    def dec(v):
-        if isinstance(v, dict):
-            return Degenerate(v["degenerate_of"], tuple(v.get("ops", [])))
-        return v
+    check_shape(raw, {"simplices?": {str: [str]}, "faces?": {str: list}})
 
-    simplices = {int(n): tuple(ids) for n, ids in raw.get("simplices", {}).items()}
-    faces = {s: tuple(dec(v) for v in fs) for s, fs in raw.get("faces", {}).items()}
+    def dec(v, path):
+        if isinstance(v, str):
+            return v
+        check_shape(v, {"degenerate_of": str, "ops?": [int]}, path)
+        return Degenerate(v["degenerate_of"], tuple(v.get("ops", [])))
+
+    try:
+        simplices = {int(n): tuple(ids) for n, ids in raw.get("simplices", {}).items()}
+    except ValueError:
+        raise SimplicialError("simplices must be keyed by their dimension") from None
+    faces = {
+        s: tuple(dec(v, f"$.faces.{s}[{i}]") for i, v in enumerate(fs))
+        for s, fs in raw.get("faces", {}).items()
+    }
     K = TruncSSet(simplices, faces)
     validate_sset(K)
     return K

@@ -270,7 +270,7 @@ def check_pz2_divergence() -> Tally:
         len(comma_h.objects) == 1
         and not limits.equalizer_cones(comma_h, comma_h.id_of(comma_h.objects[0]), pair[0])
     )
-    ok = not flr.ok and eq_missing and len(comma.hom(o, o).cells) == 2
+    ok = not flr.ok and eq_missing and len(comma.hom(o, o).objects) == 2
     t.check(ok, {"fixture": "pz2", "fact": "comma_incompleteness"})
     return t
 

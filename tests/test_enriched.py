@@ -1,9 +1,14 @@
+import copy
+import re
+
 import pytest
 
 from finadj import corpus
 from finadj.adjoint import gaft_decide
 from finadj.enriched import (
+    GpdFunctor,
     GpdLawViolation,
+    check_gfunctor,
     classify_object,
     comparison_functor,
     compose_gfunctors,
@@ -127,7 +132,87 @@ def test_vertical_law_violations_are_detected():
     raw = _zz_raw()
     c2 = raw["homs"]["x|y"]["compose2"]
     c2[c2.index(["s", "s", "1f"])] = ["s", "s", "s"]
-    with pytest.raises(GpdLawViolation):
+    with pytest.raises(GpdLawViolation, match=r"^hom x\|y: 2-cell 's' is not invertible"):
+        validate_gcat(raw)
+
+
+def _vee_raw():
+    """x -> y -> z with g . f = h, and a second 1-cell k: x -> z joined to
+    h by the invertible 2-cell u: h => k with inverse v."""
+    unit = lambda c: {"cells": [c], "twocells": [{"id": f"1{c}", "src": c, "dst": c}], "compose2": [[f"1{c}"] * 3]}
+    xz = ["1h", "1k", "u", "v"]
+    return {
+        "objects": ["x", "y", "z"],
+        "homs": {
+            "x|x": unit("ix"),
+            "y|y": unit("iy"),
+            "z|z": unit("iz"),
+            "x|y": unit("f"),
+            "y|z": unit("g"),
+            "x|z": {
+                "cells": ["h", "k"],
+                "twocells": [
+                    {"id": "1h", "src": "h", "dst": "h"},
+                    {"id": "1k", "src": "k", "dst": "k"},
+                    {"id": "u", "src": "h", "dst": "k"},
+                    {"id": "v", "src": "k", "dst": "h"},
+                ],
+                "compose2": [
+                    ["1h", "1h", "1h"],
+                    ["1k", "1k", "1k"],
+                    ["u", "1h", "u"],
+                    ["1k", "u", "u"],
+                    ["v", "1k", "v"],
+                    ["1h", "v", "v"],
+                    ["v", "u", "1h"],
+                    ["u", "v", "1k"],
+                ],
+            },
+        },
+        "identities": {"x": "ix", "y": "iy", "z": "iz"},
+        "hcompose": {
+            "cells": [["ix", "ix", "ix"], ["iy", "iy", "iy"], ["iz", "iz", "iz"]]
+            + [["f", "ix", "f"], ["iy", "f", "f"], ["g", "iy", "g"], ["iz", "g", "g"]]
+            + [[c, "ix", c] for c in "hk"]
+            + [["iz", c, c] for c in "hk"]
+            + [["g", "f", "h"]],
+            "twocells": [["1ix", "1ix", "1ix"], ["1iy", "1iy", "1iy"], ["1iz", "1iz", "1iz"]]
+            + [["1f", "1ix", "1f"], ["1iy", "1f", "1f"], ["1g", "1iy", "1g"], ["1iz", "1g", "1g"]]
+            + [[a, "1ix", a] for a in xz]
+            + [["1iz", a, a] for a in xz]
+            + [["1g", "1f", "1h"]],
+        },
+    }
+
+
+def _edit(table, old, new):
+    """Replace the entry `old` of a list table by `new`, or delete it when
+    `new` is None."""
+    i = table.index(old)
+    if new is None:
+        del table[i]
+    else:
+        table[i] = new
+
+
+# One violation per layer that check_gcat reports, each caught first there.
+LAYER_VIOLATIONS = {
+    "input": (_zz_raw, lambda raw: raw.update(objects=5)),
+    "1-cells": (_zz_raw, lambda raw: _edit(raw["hcompose"]["cells"], ["g", "f", "gf"], None)),
+    "2-cells": (_zz_raw, lambda raw: _edit(raw["hcompose"]["twocells"], ["t", "s", "1gf"], None)),
+    "source": (_vee_raw, lambda raw: _edit(raw["hcompose"]["twocells"], ["1g", "1f", "1h"], ["1g", "1f", "1k"])),
+    "target": (_vee_raw, lambda raw: _edit(raw["hcompose"]["twocells"], ["1g", "1f", "1h"], ["1g", "1f", "u"])),
+    "identity 2-cells": (_zz_raw, lambda raw: _edit(raw["hcompose"]["twocells"], ["1g", "1f", "1gf"], ["1g", "1f", "w"])),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(LAYER_VIOLATIONS))
+def test_each_violation_names_its_layer(layer):
+    fixture, edit = LAYER_VIOLATIONS[layer]
+    raw = fixture()
+    validate_gcat(raw)
+    edit(raw)
+    with pytest.raises(GpdLawViolation, match=f"^{re.escape(layer)}: "):
         validate_gcat(raw)
 
 
@@ -191,10 +276,10 @@ def test_enriched_comma_of_the_pz2_point():
     assert list(ec.pairs.values()) == [("*", "f")]
     o = ec.base.objects[0]
     endo = ec.base.hom(o, o)
-    assert len(endo.cells) == 2
+    assert len(endo.objects) == 2
     # only identity 2-cells: nothing connects the two endo 1-cells
-    assert all(a.src == a.dst for a in endo.arrows)
-    assert len(endo.arrows) == 2
+    assert all(a.src == a.dst for a in endo.morphisms)
+    assert len(endo.morphisms) == 2
     h = homotopy_category(ec.base)
     assert len(h.category.hom(o, o)) == 2
 
@@ -315,3 +400,80 @@ def test_homotopy_functoriality_on_composable_embeddings():
     h1, h2 = homotopy_functor(F1), homotopy_functor(F2)
     assert lhs.obj_map == {x: h2.obj_map[y] for x, y in h1.obj_map.items()}
     assert lhs.mor_map == {m: h2.mor_map[n] for m, n in h1.mor_map.items()}
+
+
+def _table_mutants(doc, path, ids):
+    """(label, copy of doc) for each single-entry change of the table at
+    `path`: the entry deleted, or one of its ids replaced by another of
+    `ids`.  A list table holds [key, key, value] triples, where every
+    position is replaced in turn; a dict table has its values replaced."""
+    table = doc
+    for key in path:
+        table = table[key]
+    for k in list(range(len(table))) if isinstance(table, list) else list(table):
+        entry = table[k]
+        slots = range(len(entry)) if isinstance(table, list) else [None]
+        where = "/".join(path) + " " + (",".join(entry) if isinstance(table, list) else k)
+        changes = [(None, None)] + [
+            (j, new) for j in slots for new in ids if new != (entry if j is None else entry[j])
+        ]
+        for j, new in changes:
+            mutant = copy.deepcopy(doc)
+            t = mutant
+            for key in path:
+                t = t[key]
+            if new is None:
+                del t[k]
+            elif j is None:
+                t[k] = new
+            else:
+                t[k] = entry[:j] + [new] + entry[j + 1 :]
+            yield f"{where} [{j}] -> {new or 'deleted'}", mutant
+
+
+def _cell_ids(raw):
+    """The 1-cell and the 2-cell ids of an enriched category's JSON form."""
+    homs = raw["homs"].values()
+    return [c for h in homs for c in h["cells"]], [t["id"] for h in homs for t in h["twocells"]]
+
+
+# The only single-entry mutant of the instances below that is still valid:
+# the identity of pz2 with its Z/2 2-cell sent to the identity 2-cell.
+# Pinned against the hand-written law checks that the fincat-based ones
+# replaced; both accept exactly this set.
+ACCEPTED_MUTANTS = {"pz2_identity arrow_map s [None] -> 1f"}
+
+
+def test_single_entry_mutants_are_rejected_unless_pinned():
+    gcats = [("pz2", gcat_to_dict(corpus.pz2())), ("zz", _zz_raw()), ("disc_gpd", gcat_to_dict(corpus.disc_gpd()))]
+    gcats += [(f"embed_{n}", gcat_to_dict(embed(CATS[n]))) for n in ("chain3", "iso2", "z2", "pp")]
+    accepted = set()
+    count = 0
+    for name, raw in gcats:
+        cells, twocells = _cell_ids(raw)
+        tables = [(("homs", k, "compose2"), twocells) for k in raw["homs"]] + [
+            (("hcompose", "cells"), cells),
+            (("hcompose", "twocells"), twocells),
+            (("identities",), cells),
+        ]
+        for path, ids in tables:
+            for label, mutant in _table_mutants(raw, path, ids):
+                count += 1
+                try:
+                    validate_gcat(mutant)
+                except GpdLawViolation:
+                    continue
+                accepted.add(f"{name} {label}")
+    for name, F in corpus.enriched_functors():
+        maps = {"obj_map": F.obj_map, "cell_map": F.cell_map, "arrow_map": F.arrow_map}
+        ids = dict(zip(maps, (F.target.objects, *_cell_ids(gcat_to_dict(F.target)))))
+        for table in maps:
+            for label, mutant in _table_mutants(maps, (table,), ids[table]):
+                count += 1
+                try:
+                    check_gfunctor(GpdFunctor(F.source, F.target, **mutant))
+                except GpdLawViolation:
+                    continue
+                accepted.add(f"{name} {label}")
+    assert count == 2464
+    assert accepted == ACCEPTED_MUTANTS
