@@ -32,7 +32,6 @@ from .limits import (
     limit_of_identity,
     preserves_limits,
     terminal_objects,
-    weak_pushout,
     weakly_initial_sets,
 )
 from .adjoint import (

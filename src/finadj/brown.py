@@ -16,7 +16,16 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import limits
-from .fincat import CategoryError, FinCategory, FinFunctor, UnknownObject, check_shape, minimal_sets
+from .fincat import (
+    CategoryError,
+    FinCategory,
+    FinFunctor,
+    UnknownObject,
+    check_shape,
+    minimal_sets,
+    opposite,
+    opposite_functor,
+)
 
 
 class CoproductAbsent(CategoryError):
@@ -101,7 +110,7 @@ class ConditionReport:
 def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
     """Finite coproducts (the empty one and all binary ones) must go to
     products bijectively; the empty case pins F at initial objects to a
-    single element."""
+    single element.  A binary coproduct is a product in the opposite."""
     initials = limits.initial_objects(C)
     if not initials:
         raise CoproductAbsent("no initial object (empty coproduct)")
@@ -110,61 +119,54 @@ def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
             return ConditionReport(
                 False, {"family": [], "reason": f"F({i}) has {len(F.at(i))} elements"}
             )
-    for i, x in enumerate(C.objects):
-        for y in C.objects[i:]:
-            cocones = limits.coproduct_cocones(C, x, y)
-            if not cocones:
-                raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
-            for cc in cocones:
-                i1, i2 = cc.legs
-                seen = {}
-                for a in F.at(cc.apex):
-                    pair = (F.restrict(i1, a), F.restrict(i2, a))
-                    if pair in seen:
-                        return ConditionReport(
-                            False,
-                            {"family": [x, y], "reason": "canonical map is not injective"},
-                        )
-                    seen[pair] = a
-                if len(seen) != len(F.at(x)) * len(F.at(y)):
+    Cop = opposite(C)
+    for _, (x, y), diagram in limits._limit_instances(Cop, "products"):
+        cocones = limits.limit(Cop, diagram)
+        if not cocones:
+            raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
+        for cc in cocones:
+            i1, i2 = cc.legs["j0"], cc.legs["j1"]
+            seen = {}
+            for a in F.at(cc.apex):
+                pair = (F.restrict(i1, a), F.restrict(i2, a))
+                if pair in seen:
                     return ConditionReport(
                         False,
-                        {"family": [x, y], "reason": "canonical map is not surjective"},
+                        {"family": [x, y], "reason": "canonical map is not injective"},
                     )
+                seen[pair] = a
+            if len(seen) != len(F.at(x)) * len(F.at(y)):
+                return ConditionReport(
+                    False,
+                    {"family": [x, y], "reason": "canonical map is not surjective"},
+                )
     return ConditionReport(True, None)
 
 
 def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
     """Every pushout square must map to a weak pullback: the canonical map
-    to the fiber product of sets must be surjective."""
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if f.src != g.src:
-                continue
-            pos = limits.pushouts(C, f.id, g.id)
-            if not pos:
-                raise PushoutAbsent(f"no pushout of the span ({f.id!r}, {g.id!r})")
-            for cc in pos:
-                p, q = cc.legs
-                hit = {
-                    (F.restrict(p, a), F.restrict(q, a)) for a in F.at(cc.apex)
-                }
-                for b in F.at(f.dst):
-                    for c2 in F.at(g.dst):
-                        if F.restrict(f.id, b) != F.restrict(g.id, c2):
-                            continue
-                        if (b, c2) not in hit:
-                            return ConditionReport(
-                                False,
-                                {
-                                    "square": {
-                                        "span": [f.id, g.id],
-                                        "apex": cc.apex,
-                                        "legs": [p, q],
-                                    },
-                                    "missing": [b, c2],
-                                },
-                            )
+    to the fiber product of sets must be surjective.  A pushout is a
+    pullback in the opposite."""
+    Cop = opposite(C)
+    for _, (f, g), diagram in limits._limit_instances(Cop, "pullbacks"):
+        pos = limits.limit(Cop, diagram)
+        if not pos:
+            raise PushoutAbsent(f"no pushout of the span ({f!r}, {g!r})")
+        for cc in pos:
+            p, q = cc.legs["j0"], cc.legs["j1"]
+            hit = {(F.restrict(p, a), F.restrict(q, a)) for a in F.at(cc.apex)}
+            for b in F.at(C.dst(f)):
+                for c2 in F.at(C.dst(g)):
+                    if F.restrict(f, b) != F.restrict(g, c2):
+                        continue
+                    if (b, c2) not in hit:
+                        return ConditionReport(
+                            False,
+                            {
+                                "square": {"span": [f, g], "apex": cc.apex, "legs": [p, q]},
+                                "missing": [b, c2],
+                            },
+                        )
     return ConditionReport(True, None)
 
 
@@ -294,7 +296,8 @@ def exhaustive_representability_check(C: FinCategory, max_set_size: int = 2) -> 
 
 def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
     """Images of coproduct cocones must be coproduct cocones, and images of
-    pushout squares must be weak pushouts, in the target."""
+    pushout squares must be weak pushouts, in the target.  Both are read as
+    limits in the opposite categories, the weak pushouts with `weak`."""
     C, D = F.source, F.target
     initials = limits.initial_objects(C)
     if not initials:
@@ -304,35 +307,17 @@ def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
             return ConditionReport(
                 False, {"colimit": "empty coproduct", "image": F.obj_map[i]}
             )
-    for i, x in enumerate(C.objects):
-        for y in C.objects[i:]:
-            cocones = limits.coproduct_cocones(C, x, y)
-            if not cocones:
-                raise ColimitAbsent(f"source has no coproduct of ({x!r}, {y!r})")
-            targets = limits.coproduct_cocones(D, F.obj_map[x], F.obj_map[y])
-            for cc in cocones:
-                img = limits.Cocone(
-                    F.obj_map[cc.apex], tuple(F.mor_map[l] for l in cc.legs)
-                )
-                if img not in targets:
+    Fop = opposite_functor(F)
+    Cop, Dop = Fop.source, Fop.target
+    for kind, colimit, weak in (("products", "coproduct", False), ("pullbacks", "pushout", True)):
+        for _, data, diagram in limits._limit_instances(Cop, kind):
+            ls = limits.limit(Cop, diagram)
+            if not ls:
+                raise ColimitAbsent(f"source has no {colimit} of ({data[0]!r}, {data[1]!r})")
+            for cc in ls:
+                img = limits._image_cone(Fop, cc)
+                if not limits.is_limit_cone(Dop, img, weak=weak):
                     return ConditionReport(
-                        False, {"colimit": ["coproduct", x, y], "image_apex": img.apex}
-                    )
-    for f in C.morphisms:
-        for g in C.morphisms:
-            if f.src != g.src:
-                continue
-            pos = limits.pushouts(C, f.id, g.id)
-            if not pos:
-                raise ColimitAbsent(f"source has no pushout of ({f.id!r}, {g.id!r})")
-            weak = limits.weak_pushout(D, F.mor_map[f.id], F.mor_map[g.id])
-            for cc in pos:
-                img = limits.Cocone(
-                    F.obj_map[cc.apex], tuple(F.mor_map[l] for l in cc.legs)
-                )
-                if img not in weak:
-                    return ConditionReport(
-                        False,
-                        {"colimit": ["pushout", f.id, g.id], "image_apex": img.apex},
+                        False, {"colimit": [colimit, *data], "image_apex": img.apex}
                     )
     return ConditionReport(True, None)

@@ -19,8 +19,10 @@ import sys
 
 from . import __version__, adjoint, brown, enriched, limits, simplicial, sweeps
 from .fincat import (
+    FUNCTOR_FILE_SHAPE,
     CategoryError,
     ClosureBoundExceeded,
+    check_shape,
     validate_category,
     validate_functor,
 )
@@ -48,14 +50,6 @@ def _load_json(path: str) -> tuple[dict, str]:
         ) from exc
 
 
-def _need(raw: dict, key: str, path: str):
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    if key not in raw:
-        raise ParseError(f"{path}: missing required key {key!r}")
-    return raw[key]
-
-
 class _Inputs:
     """Tracks loaded files so provenance can list their hashes."""
 
@@ -80,27 +74,21 @@ def _certificate(operation: str, verdict, witness, inputs: _Inputs) -> dict:
     }
 
 
-def _category_arg(args, inputs: _Inputs, flag="category"):
-    raw = inputs.load(flag, getattr(args, flag))
-    for key in ("objects", "morphisms", "identities"):
-        _need(raw, key, getattr(args, flag))
+def _category_arg(args, inputs: _Inputs):
+    raw = inputs.load("category", args.category)
     return validate_category(raw, closure_bound=args.closure_bound)
 
 
 def _functor_arg(args, inputs: _Inputs):
     raw = inputs.load("functor", args.functor)
-    for key in ("source", "target", "obj_map"):
-        _need(raw, key, args.functor)
+    check_shape(raw, FUNCTOR_FILE_SHAPE)
     C = validate_category(raw["source"], closure_bound=args.closure_bound)
     D = validate_category(raw["target"], closure_bound=args.closure_bound)
     return validate_functor(raw, C, D)
 
 
 def _gfunctor_arg(args, inputs: _Inputs):
-    raw = inputs.load("gfunctor", args.gfunctor)
-    for key in ("source", "target", "obj_map", "cell_map", "arrow_map"):
-        _need(raw, key, args.gfunctor)
-    return enriched.validate_gfunctor(raw)
+    return enriched.validate_gfunctor(inputs.load("gfunctor", args.gfunctor))
 
 
 def _run_validate(args, inputs: _Inputs) -> dict:
@@ -251,6 +239,8 @@ def _run_brown(args, inputs: _Inputs) -> dict:
         gens = brown.weak_generators(C)
         return _certificate("weak_generators", [list(g) for g in gens], {}, inputs)
     if args.check == "exhaustive":
+        if args.max_set_size < 0:
+            raise UnknownVerb("--max-set-size must be at least 0")
         C = _category_arg(args, inputs)
         rep = brown.exhaustive_representability_check(C, args.max_set_size)
         witness = {

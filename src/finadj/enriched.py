@@ -33,7 +33,6 @@ from .fincat import (
     check_shape,
     components,
     functor_profile,
-    minimal_sets,
 )
 
 
@@ -110,6 +109,11 @@ class GpdCategory:
         arrows = tuple(Morphism(a, *self._arrow_loc[a]) for a in self._arrows_global)
         identity = {x: self.id2(self.identities[x]) for x in self.objects}
         return FinCategory(self.objects, arrows, identity, self.hcompose_arrows)
+
+    @cached_property
+    def homotopy(self) -> HomotopyResult:
+        """`homotopy_category` of this value, computed once."""
+        return homotopy_category(self)
 
     def hom(self, x: str, y: str) -> FinCategory:
         return self.homs.get((x, y), _EMPTY_GPD)
@@ -191,13 +195,8 @@ _GCAT_SHAPE = {
     "identities?": {str: str},
     "hcompose?": {"cells?": [(str, str, str)], "twocells?": [(str, str, str)]},
 }
-_GFUNCTOR_SHAPE = {
-    "source?": dict,
-    "target?": dict,
-    "obj_map": {str: str},
-    "cell_map": {str: str},
-    "arrow_map": {str: str},
-}
+_GFUNCTOR_SHAPE = {"obj_map": {str: str}, "cell_map": {str: str}, "arrow_map": {str: str}}
+_GFUNCTOR_FILE_SHAPE = {"source": _GCAT_SHAPE, "target": _GCAT_SHAPE, **_GFUNCTOR_SHAPE}
 
 
 def validate_gcat(raw: dict) -> GpdCategory:
@@ -314,7 +313,8 @@ def check_gfunctor(F: GpdFunctor) -> None:
 
 
 def validate_gfunctor(raw: dict, S: GpdCategory | None = None, T: GpdCategory | None = None) -> GpdFunctor:
-    _law("input", check_shape, raw, _GFUNCTOR_SHAPE)
+    shape = _GFUNCTOR_SHAPE if S is not None and T is not None else _GFUNCTOR_FILE_SHAPE
+    _law("input", check_shape, raw, shape)
     if S is None:
         S = validate_gcat(raw["source"])
     if T is None:
@@ -450,8 +450,7 @@ def homotopy_category(G: GpdCategory) -> HomotopyResult:
 
 def homotopy_functor(G: GpdFunctor) -> FinFunctor:
     """The induced functor between homotopy categories."""
-    hs = homotopy_category(G.source)
-    ht = homotopy_category(G.target)
+    hs, ht = G.source.homotopy, G.target.homotopy
     mor_map = {}
     for cell, rep in hs.cell_class.items():
         img = ht.cell_class[G.cell_map[cell]]
@@ -671,11 +670,10 @@ def comparison_functor(G: GpdFunctor, c: str) -> tuple[FinFunctor, FunctorProfil
     is exactly what the profile is for.
     """
     ec = enriched_comma_under(G, c)
-    h_ec = homotopy_category(ec.base)
+    h_ec = ec.base.homotopy
     hG = homotopy_functor(G)
     oc = comma_under(hG, c)
-    hs = homotopy_category(G.source)
-    ht = homotopy_category(G.target)
+    hs, ht = G.source.homotopy, G.target.homotopy
 
     oc_by_pair = {pair: o for o, pair in oc.pairs.items()}
     obj_map = {}
@@ -744,23 +742,6 @@ def homotopy_adjoint_compare(
     return CompareReport(h_result, full_result, flag, consistent)
 
 
-# -- weakly initial sets of 1-cell objects ----------------------------------
-
-
-def _object_reaches(G: GpdCategory, x: str, y: str) -> bool:
-    return bool(G.hom(x, y).objects)
-
-
-def is_weakly_initial_objects(G: GpdCategory, members) -> bool:
-    members = list(members)
-    return all(any(_object_reaches(G, x, y) for x in members) for y in G.objects)
-
-
-def weakly_initial_object_sets(G: GpdCategory) -> list[tuple[str, ...]]:
-    """Inclusion-minimal sets of objects reaching everything by a 1-cell."""
-    return minimal_sets(G.objects, lambda members: is_weakly_initial_objects(G, members))
-
-
 def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     """Weakly initial sets transfer between the enriched comma and the
     ordinary comma of the homotopy functor, in both directions.
@@ -772,10 +753,10 @@ def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     """
     ec = enriched_comma_under(G, c)
     hG = homotopy_functor(G)
-    ht = homotopy_category(G.target)
+    ht = G.target.homotopy
     oc = comma_under(hG, c)
 
-    e_sets = weakly_initial_object_sets(ec.base)
+    e_sets = limits.weakly_initial_sets(ec.base.cell_layer)
     o_sets = limits.weakly_initial_sets(oc.base)
     enriched_has = bool(e_sets)
     ordinary_has = bool(o_sets)
@@ -793,6 +774,6 @@ def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     if ordinary_has:
         o_first = o_sets[0]
         lifted = tuple(f"({oc.pairs[o][0]},{oc.pairs[o][1]})" for o in o_first)
-        up_ok = is_weakly_initial_objects(ec.base, lifted)
+        up_ok = limits.is_weakly_initial(ec.base.cell_layer, lifted)
 
     return InvarianceReport(enriched_has, ordinary_has, down_ok, up_ok, e_first, o_first)

@@ -87,12 +87,14 @@ def check_shape(value, schema, path: str = "$") -> None:
 
 
 _CATEGORY_SHAPE = {
-    "objects?": [str],
-    "morphisms?": [{"id": str, "src": str, "dst": str}],
-    "identities?": {str: str},
+    "objects": [str],
+    "morphisms": [{"id": str, "src": str, "dst": str}],
+    "identities": {str: str},
     "compose?": [(str, str, str)],
 }
-_FUNCTOR_SHAPE = {"source?": dict, "target?": dict, "obj_map": {str: str}, "mor_map?": {str: str}}
+_FUNCTOR_SHAPE = {"obj_map": {str: str}, "mor_map?": {str: str}}
+# a functor file carries its categories
+FUNCTOR_FILE_SHAPE = {"source": _CATEGORY_SHAPE, "target": _CATEGORY_SHAPE, **_FUNCTOR_SHAPE}
 
 
 @dataclass(frozen=True)
@@ -279,10 +281,10 @@ def validate_category(
     table is an error instead.
     """
     check_shape(raw, _CATEGORY_SHAPE)
-    objects = list(raw.get("objects", []))
+    objects = list(raw["objects"])
     if len(set(objects)) != len(objects):
         raise UnknownObject("duplicate object identifiers")
-    raw_mors = [(m["id"], m["src"], m["dst"]) for m in raw.get("morphisms", [])]
+    raw_mors = [(m["id"], m["src"], m["dst"]) for m in raw["morphisms"]]
     ids = [m[0] for m in raw_mors]
     if len(set(ids)) != len(ids):
         raise MissingComposite("duplicate morphism identifiers")
@@ -291,7 +293,7 @@ def validate_category(
     for mid, src, dst in raw_mors:
         if src not in obj_set or dst not in obj_set:
             raise UnknownObject(f"morphism {mid!r} has endpoints outside the object list")
-    identity = dict(raw.get("identities", {}))
+    identity = dict(raw["identities"])
     for x in objects:
         if x not in identity:
             raise IdentityViolation(f"object {x!r} has no declared identity")
@@ -457,7 +459,7 @@ def validate_functor(raw: Mapping, C: FinCategory | None = None, D: FinCategory 
     saturated from the declared entries; any conflict or unreachable
     morphism raises NotFunctorial naming the offender.
     """
-    check_shape(raw, _FUNCTOR_SHAPE)
+    check_shape(raw, _FUNCTOR_SHAPE if C is not None and D is not None else FUNCTOR_FILE_SHAPE)
     if C is None:
         C = validate_category(raw["source"])
     if D is None:

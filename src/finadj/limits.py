@@ -1,9 +1,11 @@
 """Universal-property search on finite categories.
 
-Everything here is decided by exhaustive enumeration of cones or cocones.
-That is deliberate: these routines double as the trusted oracle for the
+Everything here is decided by exhaustive enumeration of cones.  That is
+deliberate: these routines double as the trusted oracle for the
 adjoint-functor machinery, so they trade speed for being direct unfoldings
-of the definitions.
+of the definitions.  A colimit in C is a limit in `opposite(C)`, and a weak
+limit only asks that a mediator exist, so the one cone search also serves
+colimits and weak colimits.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ class Cone:
     diagram: FinFunctor
     apex: str
     legs: dict[str, str]
-
-
-@dataclass(frozen=True)
-class Cocone:
-    """A cocone with positional legs out of the listed source objects."""
-
-    apex: str
-    legs: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -149,16 +143,28 @@ def _mediators(C: FinCategory, frm: Cone, to: Cone) -> list[str]:
     ]
 
 
-def is_limit_cone(C: FinCategory, cone: Cone, all_cones: list[Cone] | None = None) -> bool:
+def is_limit_cone(
+    C: FinCategory, cone: Cone, all_cones: list[Cone] | None = None, *, weak: bool = False
+) -> bool:
+    """Whether every cone factors through this one: exactly once, or, when
+    `weak`, at least once (the weak universal property)."""
     if all_cones is None:
         all_cones = cones(C, cone.diagram)
-    return all(len(_mediators(C, other, cone)) == 1 for other in all_cones)
+    for other in all_cones:
+        n = len(_mediators(C, other, cone))
+        if n == 0 or (n > 1 and not weak):
+            return False
+    return True
 
 
-def limit(C: FinCategory, diagram: FinFunctor) -> list[Cone]:
-    """All limit cones of the diagram (terminal objects among all cones)."""
+def limit(C: FinCategory, diagram: FinFunctor, *, weak: bool = False) -> list[Cone]:
+    """All limit cones of the diagram (terminal objects among all cones),
+    or all weak limit cones when `weak`.  Colimits are limits in
+    `opposite(C)`: a coproduct of x and y is a limit of
+    `pair_diagram(opposite(C), x, y)`, and a pushout of the span (f, g) a
+    limit of `cospan_diagram(opposite(C), f, g)`."""
     cs = cones(C, diagram)
-    return [c for c in cs if is_limit_cone(C, c, cs)]
+    return [c for c in cs if is_limit_cone(C, c, cs, weak=weak)]
 
 
 def initial_objects(C: FinCategory) -> list[str]:
@@ -184,10 +190,6 @@ def limit_of_identity(C: FinCategory) -> Cone | None:
     return ls[0] if ls else None
 
 
-def product_cones(C: FinCategory, x: str, y: str) -> list[Cone]:
-    return limit(C, pair_diagram(C, x, y))
-
-
 def equalizer_cones(C: FinCategory, f: str, g: str) -> list[Cone]:
     return limit(C, parallel_diagram(C, f, g))
 
@@ -195,18 +197,10 @@ def equalizer_cones(C: FinCategory, f: str, g: str) -> list[Cone]:
 def has_finite_limits(C: FinCategory) -> FiniteLimitsReport:
     """Check the generating triple: terminal object, binary products,
     equalizers.  The witness names the first missing limit."""
-    if not terminal_objects(C):
-        return FiniteLimitsReport(False, ("terminal",))
-    for i, x in enumerate(C.objects):
-        for y in C.objects[i:]:
-            if not product_cones(C, x, y):
-                return FiniteLimitsReport(False, ("product", x, y))
-    for x in C.objects:
-        for y in C.objects:
-            ms = C.hom(x, y)
-            for f, g in itertools.combinations(ms, 2):
-                if not equalizer_cones(C, f, g):
-                    return FiniteLimitsReport(False, ("equalizer", f, g))
+    for kind in ("terminal", "products", "equalizers"):
+        for name, data, diagram in _limit_instances(C, kind):
+            if not limit(C, diagram):
+                return FiniteLimitsReport(False, (name, *data))
     return FiniteLimitsReport(True, None)
 
 
@@ -277,68 +271,3 @@ def is_weakly_initial(C: FinCategory, members) -> bool:
 def weakly_initial_sets(C: FinCategory) -> list[tuple[str, ...]]:
     """All inclusion-minimal weakly initial sets, in canonical order."""
     return minimal_sets(C.objects, lambda members: is_weakly_initial(C, members))
-
-
-# -- cocones, weak pushouts, coproducts ------------------------------------
-
-
-def span_cocones(C: FinCategory, f: str, g: str) -> list[Cocone]:
-    """All commuting cocones under the span given by f and g (common source)."""
-    if C.src(f) != C.src(g):
-        raise CategoryError(f"{f!r} and {g!r} do not form a span")
-    out = []
-    for w in C.objects:
-        for p in C.hom(C.dst(f), w):
-            for q in C.hom(C.dst(g), w):
-                if C.compose(p, f) == C.compose(q, g):
-                    out.append(Cocone(w, (p, q)))
-    return out
-
-
-def _cocone_mediators(C: FinCategory, frm: Cocone, to: Cocone, srcs) -> list[str]:
-    return [
-        m
-        for m in C.hom(frm.apex, to.apex)
-        if all(C.compose(m, frm.legs[i]) == to.legs[i] for i in range(len(srcs)))
-    ]
-
-
-def weak_pushout(C: FinCategory, f: str, g: str) -> list[Cocone]:
-    """Cocones through which every cocone under the span factors.
-
-    Only existence of the factorization is required, matching the weak
-    universal property."""
-    cs = span_cocones(C, f, g)
-    legs = (C.dst(f), C.dst(g))
-    return [
-        c for c in cs if all(_cocone_mediators(C, c, other, legs) for other in cs)
-    ]
-
-
-def pushouts(C: FinCategory, f: str, g: str) -> list[Cocone]:
-    """Genuine pushout cocones (unique factorization)."""
-    cs = span_cocones(C, f, g)
-    legs = (C.dst(f), C.dst(g))
-    return [
-        c
-        for c in cs
-        if all(len(_cocone_mediators(C, c, other, legs)) == 1 for other in cs)
-    ]
-
-
-def pair_cocones(C: FinCategory, x: str, y: str) -> list[Cocone]:
-    return [
-        Cocone(w, (i1, i2))
-        for w in C.objects
-        for i1 in C.hom(x, w)
-        for i2 in C.hom(y, w)
-    ]
-
-
-def coproduct_cocones(C: FinCategory, x: str, y: str) -> list[Cocone]:
-    cs = pair_cocones(C, x, y)
-    return [
-        c
-        for c in cs
-        if all(len(_cocone_mediators(C, c, other, (x, y))) == 1 for other in cs)
-    ]

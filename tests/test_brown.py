@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,8 +20,8 @@ from finadj.brown import (
     validate_set_functor,
     weak_generators,
 )
-from finadj.fincat import identity_functor
-from finadj.limits import coproduct_cocones, initial_objects, pushouts
+from finadj.fincat import identity_functor, opposite, validate_category
+from finadj.limits import cospan_diagram, initial_objects, limit, pair_diagram
 
 CATS = corpus.categories()
 
@@ -69,10 +72,11 @@ def _b1_direct(C, F):
     for i in initial_objects(C):
         if len(F.at(i)) != 1:
             return False
+    Cop = opposite(C)
     for x in C.objects:
         for y in C.objects:
-            for cc in coproduct_cocones(C, x, y):
-                i1, i2 = cc.legs
+            for cc in limit(Cop, pair_diagram(Cop, x, y)):
+                i1, i2 = cc.legs["j0"], cc.legs["j1"]
                 image = sorted(
                     (F.restrict(i1, a), F.restrict(i2, a)) for a in F.at(cc.apex)
                 )
@@ -83,12 +87,13 @@ def _b1_direct(C, F):
 
 
 def _b2_direct(C, F):
+    Cop = opposite(C)
     for f in C.morphisms:
         for g in C.morphisms:
             if f.src != g.src:
                 continue
-            for cc in pushouts(C, f.id, g.id):
-                p, q = cc.legs
+            for cc in limit(Cop, cospan_diagram(Cop, f.id, g.id)):
+                p, q = cc.legs["j0"], cc.legs["j1"]
                 image = {(F.restrict(p, a), F.restrict(q, a)) for a in F.at(cc.apex)}
                 fiber = {
                     (b, c)
@@ -211,6 +216,68 @@ def test_B1p_B2p_examples():
 def test_B1p_B2p_needs_source_colimits():
     with pytest.raises(ColimitAbsent):
         check_B1p_B2p(identity_functor(CATS["wedge"]))
+
+
+def test_B1p_needs_coproduct_images_to_be_coproducts_not_weak_ones():
+    # I is initial; T receives a: A -> T and b: B -> T, and the idempotent e
+    # on T fixes both, so (T; a, b) is a weak coproduct of A and B that
+    # factors through itself by id_T and by e
+    arrows = [("iA", "I", "A"), ("iB", "I", "B"), ("iT", "I", "T")]
+    arrows += [("a", "A", "T"), ("b", "B", "T"), ("e", "T", "T")]
+    compose = [["a", "iA", "iT"], ["b", "iB", "iT"], ["e", "iT", "iT"]]
+    compose += [["e", "e", "e"], ["e", "a", "a"], ["e", "b", "b"]]
+    D = validate_category(
+        {
+            "objects": ["I", "A", "B", "T"],
+            "morphisms": [{"id": f"id_{x}", "src": x, "dst": x} for x in "IABT"]
+            + [{"id": m, "src": s, "dst": d} for m, s, d in arrows],
+            "identities": {x: f"id_{x}" for x in "IABT"},
+            "compose": compose,
+        }
+    )
+    F = corpus.functor(
+        CATS["diamond"],
+        D,
+        {"bot": "I", "a": "A", "b": "B", "top": "T"},
+        {"bot<a": "iA", "bot<b": "iB", "a<top": "a", "b<top": "b"},
+    )
+    rep = check_B1p_B2p(F)
+    assert rep.witness == {"colimit": ["coproduct", "a", "b"], "image_apex": "T"}
+
+
+# sha256 of the sorted-key JSON of one [name, ok, witness] row per
+# instance, with ["name", "absent", message] where ColimitAbsent is raised;
+# recorded when coproducts and pushouts still had their own cocone search
+B1P_B2P_DIGEST = "abf52f92528e4fe4d2cce9e92885da4ec624c4084ccb6a6ced62d9b5c20f6663"
+
+
+def _b1p_b2p_instances():
+    """The curated oracle functors, then every monotone map from a poset of
+    at most 4 elements into one of at most 2."""
+    yield from corpus.curated_oracle_functors()
+    posets = corpus.posets_up_to(4)
+    small = [Q for Q in posets if len(Q.objects) <= 2]
+    for i, P in enumerate(posets):
+        for j, Q in enumerate(small):
+            for k, F in enumerate(corpus.monotone_maps(P, Q)):
+                yield f"poset{i}->poset{j}#{k}", F
+
+
+def test_B1p_B2p_results_are_pinned():
+    rows = []
+    for name, F in _b1p_b2p_instances():
+        try:
+            rep = check_B1p_B2p(F)
+            rows.append([name, rep.ok, rep.witness])
+        except ColimitAbsent as exc:
+            rows.append([name, "absent", str(exc)])
+    assert len(rows) == 312
+    assert Counter(str(r[1]) for r in rows) == {"absent": 251, "False": 37, "True": 24}
+    assert [r for r in rows if r[1] is False and r[2]["colimit"] != "empty coproduct"] == [
+        ["poset22->poset3#1", False, {"colimit": ["coproduct", "p1", "p3"], "image_apex": "p1"}]
+    ]
+    text = json.dumps(rows, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == B1P_B2P_DIGEST
 
 
 def test_B1p_B2p_implies_hom_functors_satisfy_B1_B2():

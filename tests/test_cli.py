@@ -130,6 +130,14 @@ def test_parse_errors_exit_two(files, capsys):
     assert run(["initial", "--category", missing]) == 2
 
 
+def test_negative_set_size_is_a_usage_error(files, capsys):
+    _, paths, _ = files
+    argv = ["brown", "--check", "exhaustive", "--category", paths["two.json"], "--max-set-size", "-1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--max-set-size" in captured.err
+
+
 def test_bound_errors_exit_three(files):
     tmp_path, paths, write = files
     circle = write(
@@ -292,6 +300,9 @@ MALFORMED = {
     "gfunctor obj_map key outside the source": ("gf.json", lambda d: d["obj_map"].update(q="x"), "GpdLawViolation"),
     "simplex dimension is not a number": ("boundary2.json", lambda d: d["simplices"].update(x=[]), "SimplicialError"),
     "restriction table is a list": ("setf.json", lambda d: d["on_morphisms"].update(id_0=["*"]), "ShapeError"),
+    "category without morphisms": ("chain3.json", lambda d: d.pop("morphisms"), "ShapeError"),
+    "functor without source": ("g.json", lambda d: d.pop("source"), "ShapeError"),
+    "gfunctor without target": ("gf.json", lambda d: d.pop("target"), "GpdLawViolation"),
 }
 
 

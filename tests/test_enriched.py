@@ -27,10 +27,10 @@ from finadj.enriched import (
     mapping_invariants,
     solution_set_invariance,
     validate_gcat,
-    weakly_initial_object_sets,
+    validate_gfunctor,
 )
 from finadj.fincat import identity_functor, isomorphic
-from finadj.limits import equalizer_cones, has_finite_limits
+from finadj.limits import equalizer_cones, has_finite_limits, weakly_initial_sets
 from finadj.sweeps import inflate
 
 CATS = corpus.categories()
@@ -216,6 +216,19 @@ def test_each_violation_names_its_layer(layer):
         validate_gcat(raw)
 
 
+def test_gfunctor_without_its_categories_needs_source_and_target():
+    F = corpus.pz2_pick_y()
+    maps = {"obj_map": F.obj_map, "cell_map": F.cell_map, "arrow_map": F.arrow_map}
+    with pytest.raises(GpdLawViolation, match=r"^input: \$: missing key 'source'$"):
+        validate_gfunctor(maps)
+    with pytest.raises(GpdLawViolation, match=r"^input: \$: missing key 'target'$"):
+        validate_gfunctor({"source": gcat_to_dict(F.source), **maps})
+    with pytest.raises(GpdLawViolation, match=r"^input: \$\.source\.objects: expected a list, got int$"):
+        validate_gfunctor({"source": {"objects": 5}, "target": gcat_to_dict(F.target), **maps})
+    # with both categories passed in, the file keys are not needed
+    assert validate_gfunctor(maps, F.source, F.target) == F
+
+
 def test_homotopy_category_of_embedding_is_identity():
     for name in ("one", "two", "chain3", "diamond", "pp", "iso2", "z2", "free_boundary"):
         C = CATS[name]
@@ -390,7 +403,8 @@ def test_solution_set_invariance_with_witness_transfer():
 
 
 def test_weakly_initial_object_sets_on_pz2():
-    assert weakly_initial_object_sets(corpus.pz2()) == [("x",)]
+    # objects reaching everything by a 1-cell: weak initiality in the 1-cell layer
+    assert weakly_initial_sets(corpus.pz2().cell_layer) == [("x",)]
 
 
 def test_homotopy_functoriality_on_composable_embeddings():

@@ -11,6 +11,7 @@ from finadj.fincat import (
     IdentityViolation,
     MissingComposite,
     NotFunctorial,
+    ShapeError,
     UnknownObject,
     FinFunctor,
     check_laws,
@@ -189,6 +190,19 @@ def test_composite_to_non_composite_is_not_functorial():
             C,
             C,
         )
+
+
+def test_functor_without_its_categories_needs_source_and_target():
+    with pytest.raises(ShapeError, match=r"^\$: missing key 'source'$"):
+        validate_functor({"obj_map": {}})
+    with pytest.raises(ShapeError, match=r"^\$: missing key 'target'$"):
+        validate_functor({"source": corpus.one().to_dict(), "obj_map": {}})
+    # the path names the category inside the functor file
+    with pytest.raises(ShapeError, match=r"^\$\.target: missing key 'morphisms'$"):
+        validate_functor({"source": corpus.one().to_dict(), "target": {"objects": []}, "obj_map": {}})
+    # with both categories passed in, the file keys are not needed
+    F = validate_functor({"obj_map": {"*": "*"}}, CATS["one"], CATS["one"])
+    assert F.mor_map == {"id_*": "id_*"}
 
 
 def test_profile_of_identity_is_all_true():

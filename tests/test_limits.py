@@ -2,11 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from finadj import corpus
-from finadj.fincat import identity_functor
+from finadj.fincat import identity_functor, opposite
 from finadj.limits import (
-    Cocone,
     LimitAbsentInSource,
-    coproduct_cocones,
+    cospan_diagram,
     empty_diagram,
     equalizer_cones,
     has_finite_limits,
@@ -17,9 +16,7 @@ from finadj.limits import (
     limit_of_identity,
     pair_diagram,
     preserves_limits,
-    pushouts,
     terminal_objects,
-    weak_pushout,
     weakly_initial_sets,
 )
 
@@ -121,14 +118,22 @@ def test_minimal_weakly_initial_set_contains_initial_object():
         assert any(s == (inits[0],) for s in sets), name
 
 
+def _pushouts(C, f, g, weak=False):
+    """(Weak) pushouts of the span (f, g) as (apex, (leg of dst f, leg of
+    dst g)): limits of the cospan in the opposite category."""
+    Cop = opposite(C)
+    cones = limit(Cop, cospan_diagram(Cop, f, g), weak=weak)
+    return [(c.apex, (c.legs["j0"], c.legs["j1"])) for c in cones]
+
+
 def test_weak_pushout_in_two_is_the_join():
     C = CATS["two"]
-    assert weak_pushout(C, "0<1", "0<1") == [Cocone("1", ("id_1", "id_1"))]
+    assert _pushouts(C, "0<1", "0<1", weak=True) == [("1", ("id_1", "id_1"))]
 
 
 def test_span_without_completion_has_no_weak_pushout():
     C = CATS["wedge"]
-    assert weak_pushout(C, "z<x", "z<y") == []
+    assert _pushouts(C, "z<x", "z<y", weak=True) == []
 
 
 def test_poset_weak_pushouts_equal_pushouts():
@@ -136,21 +141,21 @@ def test_poset_weak_pushouts_equal_pushouts():
         for f in P.morphisms:
             for g in P.morphisms:
                 if f.src == g.src:
-                    assert weak_pushout(P, f.id, g.id) == pushouts(P, f.id, g.id)
+                    assert _pushouts(P, f.id, g.id, weak=True) == _pushouts(P, f.id, g.id)
 
 
 def test_group_spans_have_multiple_pushout_cocones():
     # every morphism of a group is epi, so factorizations are unique and
     # both commuting cocones under (s, s) are genuine pushouts
     C = CATS["z2"]
-    weak = weak_pushout(C, "s", "s")
-    strong = pushouts(C, "s", "s")
+    weak = _pushouts(C, "s", "s", weak=True)
+    strong = _pushouts(C, "s", "s")
     assert len(weak) == 2 and weak == strong
 
 
 def test_coproducts_in_diamond():
-    D = CATS["diamond"]
-    ccs = coproduct_cocones(D, "a", "b")
+    Dop = opposite(CATS["diamond"])
+    ccs = limit(Dop, pair_diagram(Dop, "a", "b"))
     assert [c.apex for c in ccs] == ["top"]
 
 
