@@ -13,7 +13,6 @@ bijections directly.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import limits
@@ -25,7 +24,9 @@ from .fincat import (
     build_category,
     check_functor_laws,
     components,
+    functor_space,
     opposite_functor,
+    search,
 )
 
 
@@ -338,11 +339,13 @@ def brute_force_left_adjoint(
 ) -> BruteForceResult:
     """Independent oracle: enumerate every functor and unit candidate.
 
-    Candidate functors go from the target of G back to its source; object
-    assignments leaving some unit component without a candidate morphism
-    are pruned, which loses nothing because such assignments admit no unit
-    at all.  Beyond the configured bounds the oracle refuses to run rather
-    than sample.
+    Candidate functors go from the target of G back to its source, as a
+    `search` over object images, morphism images and unit components.  The
+    domains prune only what admits no unit: c goes only to a d with
+    hom(c, G d) nonempty, and unit naturality at each nonidentity morphism
+    is checked once its two components are bound.  `verify_adjunction`
+    still checks every complete candidate.  Beyond the configured bounds
+    the oracle refuses to run rather than sample.
     """
     D, C = G.source, G.target
     if len(C.objects) > max_source_objects:
@@ -353,48 +356,22 @@ def brute_force_left_adjoint(
         raise OracleBoundExceeded(
             f"{len(D.morphisms)} target morphisms exceed the bound {max_target_morphisms}"
         )
+    feasible = {c: [d for d in D.objects if C.hom(c, G.obj_map[d])] for c in C.objects}
+    domains, constraints = functor_space(C, D, feasible)
+    for c in C.objects:
+        domains[("u", c)] = lambda a, c=c: C.hom(c, G.obj_map[a[("o", c)]])
+    for m in C.nonidentity():
+        ends = (("m", m), ("u", C.src(m)), ("u", C.dst(m)))
+        constraints.append((ends, lambda fm, us, ut, m=m: C.compose(G.mor_map[fm], us) == C.compose(ut, m)))
     found = []
-    nonid = C.nonidentity()
-    for objs in itertools.product(D.objects, repeat=len(C.objects)):
-        obj_map = dict(zip(C.objects, objs))
-        unit_choices = [C.hom(c, G.obj_map[obj_map[c]]) for c in C.objects]
-        if any(not ch for ch in unit_choices):
-            continue
-        mor_map = {C.id_of(x): D.id_of(obj_map[x]) for x in C.objects}
-        candidates = [D.hom(obj_map[C.src(m)], obj_map[C.dst(m)]) for m in nonid]
-        if any(not cand for cand in candidates):
-            continue
-        for F in _enumerate_functors(C, D, obj_map, mor_map, nonid, candidates):
-            for combo in itertools.product(*unit_choices):
-                unit = dict(zip(C.objects, combo))
-                cert = AdjunctionCertificate(F, G, unit, _record_bijections(F, G, unit))
-                if verify_adjunction(cert).ok:
-                    found.append((F, unit))
+    for a in search(domains, constraints):
+        obj_map = {c: a[("o", c)] for c in C.objects}
+        F = FinFunctor(C, D, obj_map, {m: v for (kind, m), v in a.items() if kind == "m"})
+        unit = {c: a[("u", c)] for c in C.objects}
+        cert = AdjunctionCertificate(F, G, unit, _record_bijections(F, G, unit))
+        if verify_adjunction(cert).ok:
+            found.append((F, unit))
     return BruteForceResult(bool(found), found)
-
-
-def _enumerate_functors(C, D, obj_map, mor_map, nonid, candidates, i=0):
-    if i == len(nonid):
-        yield FinFunctor(C, D, dict(obj_map), dict(mor_map))
-        return
-    m = nonid[i]
-    for fm in candidates[i]:
-        mor_map[m] = fm
-        if _consistent(C, D, mor_map, m):
-            yield from _enumerate_functors(C, D, obj_map, mor_map, nonid, candidates, i + 1)
-    del mor_map[m]
-
-
-def _consistent(C, D, mor_map, new):
-    for (g, f), gf in C.compose_table.items():
-        if new not in (g, f, gf):
-            continue
-        mg, mf, mgf = mor_map.get(g), mor_map.get(f), mor_map.get(gf)
-        if mg is None or mf is None or mgf is None:
-            continue
-        if D.compose(mg, mf) != mgf:
-            return False
-    return True
 
 
 def coinitiality_profile(F: FinFunctor) -> dict[str, CoinitialityRecord]:

@@ -297,7 +297,13 @@ def exhaustive_representability_check(C: FinCategory, max_set_size: int = 2) -> 
 def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
     """Images of coproduct cocones must be coproduct cocones, and images of
     pushout squares must be weak pushouts, in the target.  Both are read as
-    limits in the opposite categories, the weak pushouts with `weak`."""
+    limits in the opposite categories, the weak pushouts with `weak`.
+
+    On finite input the pushout stage cannot change the verdict.  It runs
+    only on sources with an initial object and binary coproducts, which
+    are preorders when finite (hom(x+...+x, w) = hom(x, w)^k must stay
+    bounded), and there a pushout is a coproduct whose image already
+    passed.  `weak=True` stays because it is Heller's definition of B2'."""
     C, D = F.source, F.target
     initials = limits.initial_objects(C)
     if not initials:

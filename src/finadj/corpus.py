@@ -19,7 +19,7 @@ from .enriched import (
     identity_gfunctor,
     validate_gcat,
 )
-from .fincat import FinCategory, FinFunctor, validate_category, validate_functor
+from .fincat import FinCategory, FinFunctor, search, validate_category, validate_functor
 
 
 def _category(objects, arrows, compose) -> FinCategory:
@@ -180,17 +180,16 @@ def posets_up_to(n: int = 4) -> list[FinCategory]:
         perms = list(itertools.permutations(range(k)))
         seen = set()
         forms = []
-        for bits in range(1 << len(pairs)):
-            rel = frozenset(p for t, p in enumerate(pairs) if bits >> t & 1)
-            if any((j, i) in rel for i, j in rel):
-                continue
-            if any(
-                (i, l) not in rel
-                for i, j in rel
-                for j2, l in rel
-                if j2 == j and i != l
-            ):
-                continue
+        # one boolean per ordered pair: antisymmetric and transitive
+        constraints = [(((i, j), (j, i)), lambda p, q: not (p and q)) for i, j in pairs if i < j]
+        constraints += [
+            (((i, j), (j, l), (i, l)), lambda p, q, r: r or not (p and q))
+            for i, j in pairs
+            for l in range(k)
+            if l not in (i, j)
+        ]
+        for chosen in search({p: (False, True) for p in pairs}, constraints):
+            rel = [p for p, b in chosen.items() if b]
             canon = min(
                 tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms
             )
@@ -206,10 +205,10 @@ def posets_up_to(n: int = 4) -> list[FinCategory]:
 
 def monotone_maps(P: FinCategory, Q: FinCategory):
     """Every monotone map P -> Q as a functor, exhaustively."""
-    for combo in itertools.product(Q.objects, repeat=len(P.objects)):
-        obj_map = dict(zip(P.objects, combo))
-        if all(Q.hom(obj_map[m.src], obj_map[m.dst]) for m in P.morphisms):
-            yield monotone_functor(P, Q, obj_map)
+    arrows = [(m.src, m.dst) for m in P.morphisms if not P.is_identity(m.id)]
+    constraints = [(ends, lambda x, y: bool(Q.hom(x, y))) for ends in arrows]
+    for obj_map in search({x: Q.objects for x in P.objects}, constraints):
+        yield monotone_functor(P, Q, obj_map)
 
 
 # -- curated functor instances for the oracle ---------------------------------

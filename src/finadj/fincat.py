@@ -553,6 +553,74 @@ def functor_profile(F: FinFunctor) -> FunctorProfile:
 # -- generic searches used across the engine ------------------------------
 
 
+def search(domains: Mapping, constraints: Iterable = (), distinct: Iterable = ()) -> Iterator[dict]:
+    """Every assignment to the keys of `domains` that meets each constraint,
+    by backtracking, in lexicographic order: keys in insertion order, values
+    in domain order.  A domain is a sequence, or a function from the
+    partial assignment of the earlier keys to one.  A constraint
+    `(vars, ok)` holds when `ok(*values of vars)` is true, and is checked as
+    soon as the last of its variables is bound.  Each group in `distinct`
+    takes pairwise different values.
+
+    The comma decision (`comma_under`, `initial_objects`,
+    `construct_left_adjoint`) never calls this search, so the brute-force
+    oracle that runs on it stays independent of the decision it checks.
+    """
+    keys = list(domains)
+    pos = {k: i for i, k in enumerate(keys)}
+    checks = [[] for _ in keys]
+    for vs, ok in constraints:
+        checks[max(map(pos.__getitem__, vs))].append((vs, ok))
+    apart = [[] for _ in keys]  # the earlier keys each one must differ from
+    for group in distinct:
+        group = sorted(group, key=pos.__getitem__)
+        for i, k in enumerate(group):
+            apart[pos[k]] += group[:i]
+    n, a, stack = len(keys), {}, []  # stack: the candidates left at each bound level
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield dict(a)
+            i -= 1
+            continue
+        if len(stack) == i:
+            dom = domains[keys[i]]
+            stack.append(iter(dom(a) if callable(dom) else dom))
+        k, tests, others = keys[i], checks[i], apart[i]
+        for v in stack[i]:
+            if others and v in [a[o] for o in others]:
+                continue
+            a[k] = v
+            if not tests or all(ok(*[a[x] for x in vs]) for vs, ok in tests):
+                i += 1
+                break
+        else:
+            a.pop(k, None)
+            stack.pop()
+            i -= 1
+
+
+def functor_space(C: FinCategory, D: FinCategory, objects: Mapping | None = None) -> tuple[dict, list]:
+    """Domains and constraints whose `search` solutions are the functors
+    C -> D.  The variables are ("o", x) over `objects[x]` (all of D's
+    objects by default), then ("m", m): identities first, forced to the
+    identity of their object's image, then the rest over the hom between
+    the images of their ends.  Only compose entries with no identity factor
+    are constraints; the forced identities meet the others."""
+    domains: dict = {("o", x): D.objects if objects is None else objects[x] for x in C.objects}
+    for x in C.objects:
+        domains[("m", C.id_of(x))] = lambda a, x=x: (D.id_of(a[("o", x)]),)
+    for m in C.morphisms:
+        if not C.is_identity(m.id):
+            domains[("m", m.id)] = lambda a, s=m.src, t=m.dst: D.hom(a[("o", s)], a[("o", t)])
+    constraints = [
+        ((("m", g), ("m", f), ("m", gf)), lambda g, f, gf: D.compose(g, f) == gf)
+        for (g, f), gf in C.compose_table.items()
+        if not (C.is_identity(g) or C.is_identity(f))
+    ]
+    return domains, constraints
+
+
 def minimal_sets(items: Sequence[str], holds: Callable[[tuple[str, ...]], bool]) -> list[tuple[str, ...]]:
     """All inclusion-minimal subsets satisfying `holds`, by size, then in
     lexicographic order of positions in `items`.
@@ -600,14 +668,13 @@ def components(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[l
 def natural_transformations(F: FinFunctor, G: FinFunctor) -> Iterator[dict[str, str]]:
     """All natural transformations F => G as per-object component maps."""
     C, D = F.source, F.target
-    choices = [D.hom(F.obj_map[x], G.obj_map[x]) for x in C.objects]
-    for combo in itertools.product(*choices):
-        eta = dict(zip(C.objects, combo))
-        if all(
-            D.compose(G.mor_map[m.id], eta[m.src]) == D.compose(eta[m.dst], F.mor_map[m.id])
-            for m in C.morphisms
-        ):
-            yield eta
+    domains = {x: D.hom(F.obj_map[x], G.obj_map[x]) for x in C.objects}
+    constraints = [
+        ((m.src, m.dst), lambda s, t, m=m.id: D.compose(G.mor_map[m], s) == D.compose(t, F.mor_map[m]))
+        for m in C.morphisms
+        if not C.is_identity(m.id)
+    ]
+    return search(domains, constraints)
 
 
 def naturally_isomorphic(F: FinFunctor, G: FinFunctor) -> bool:
@@ -619,53 +686,17 @@ def naturally_isomorphic(F: FinFunctor, G: FinFunctor) -> bool:
 
 def isomorphic(C: FinCategory, D: FinCategory) -> bool:
     """Whether two finite categories are isomorphic (strictly, not merely
-    equivalent), by backtracking over object and hom bijections."""
+    equivalent): whether some functor is injective on objects and on
+    morphisms, hence bijective, as the counts agree.  Requiring equal hom
+    sizes only prunes object maps early."""
     if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
         return False
-    return _iso_objects(C, D, {}, list(C.objects))
-
-
-def _iso_objects(C, D, omap, remaining):
-    if not remaining:
-        return _iso_morphisms(C, D, omap)
-    x = remaining[0]
-    used = set(omap.values())
-    for y in D.objects:
-        if y in used:
-            continue
-        omap[x] = y
-        ok = all(
-            len(C.hom(a, b)) == len(D.hom(omap[a], omap[b]))
-            for a in omap
-            for b in omap
-        )
-        if ok and _iso_objects(C, D, omap, remaining[1:]):
-            return True
-        del omap[x]
-    return False
-
-
-def _iso_morphisms(C, D, omap):
-    homs = [(x, y, C.hom(x, y)) for x in C.objects for y in C.objects if C.hom(x, y)]
-    return _iso_hom_assign(C, D, omap, homs, 0, {})
-
-
-def _iso_hom_assign(C, D, omap, homs, i, mmap):
-    if i == len(homs):
-        for (g, f), gf in C.compose_table.items():
-            if D.compose(mmap[g], mmap[f]) != mmap[gf]:
-                return False
-        return True
-    x, y, ms = homs[i]
-    targets = D.hom(omap[x], omap[y])
-    for perm in itertools.permutations(targets):
-        trial = dict(zip(ms, perm))
-        if any(C.is_identity(m) != D.is_identity(v) for m, v in trial.items()):
-            continue
-        mmap.update(trial)
-        if _iso_hom_assign(C, D, omap, homs, i + 1, mmap):
-            return True
-        for m in ms:
-            del mmap[m]
-    return False
-
+    domains, constraints = functor_space(C, D)
+    constraints += [
+        ((("o", x), ("o", y)), lambda u, v, n=len(C.hom(x, y)): len(D.hom(u, v)) == n)
+        for x in C.objects
+        for y in C.objects
+    ]
+    # one group per kind: an object may share its id with a morphism
+    kinds = ([("o", x) for x in C.objects], [("m", m.id) for m in C.morphisms])
+    return any(True for _ in search(domains, constraints, kinds))

@@ -19,6 +19,7 @@ from .fincat import (
     FinFunctor,
     identity_functor,
     minimal_sets,
+    search,
     validate_category,
 )
 
@@ -119,20 +120,22 @@ def cospan_diagram(C: FinCategory, f: str, g: str) -> FinFunctor:
 
 
 def cones(C: FinCategory, diagram: FinFunctor) -> list[Cone]:
+    """All cones, by apex and then by legs in object order.  A leg that an
+    earlier leg reaches by an arrow of J is computed, not enumerated."""
     J = diagram.source
-    out = []
-    jobs = list(J.objects)
     arrows = [m for m in J.morphisms if not J.is_identity(m.id)]
-    for apex in C.objects:
-        choices = [C.hom(apex, diagram.obj_map[j]) for j in jobs]
-        for combo in itertools.product(*choices):
-            legs = dict(zip(jobs, combo))
-            if all(
-                C.compose(diagram.mor_map[m.id], legs[m.src]) == legs[m.dst]
-                for m in arrows
-            ):
-                out.append(Cone(diagram, apex, legs))
-    return out
+    domains: dict = {None: C.objects}  # the apex, then one leg per object of J
+    for j in J.objects:
+        into = [m for m in arrows if m.dst == j and m.src in domains]
+        if into:
+            domains[j] = lambda a, m=into[0]: (C.compose(diagram.mor_map[m.id], a[m.src]),)
+        else:
+            domains[j] = lambda a, x=diagram.obj_map[j]: C.hom(a[None], x)
+    constraints = [
+        ((m.src, m.dst), lambda s, t, f=diagram.mor_map[m.id]: C.compose(f, s) == t)
+        for m in arrows
+    ]
+    return [Cone(diagram, a.pop(None), a) for a in search(domains, constraints)]
 
 
 def _mediators(C: FinCategory, frm: Cone, to: Cone) -> list[str]:

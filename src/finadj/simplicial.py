@@ -14,11 +14,10 @@ n = 3 because nerves have discrete mapping data.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Union
 
-from .fincat import CategoryError, FinCategory, check_shape
+from .fincat import CategoryError, FinCategory, check_shape, search
 from .presentation import close_presentation
 
 
@@ -558,43 +557,18 @@ def initial_by_lifting(K: TruncSSet, x: str, nmax: int = 3) -> bool:
 
 
 def isomorphic(K: TruncSSet, L: TruncSSet) -> bool:
-    """Isomorphism of truncated simplicial sets by backtracking search."""
+    """Isomorphism of truncated simplicial sets: a bijection in each
+    dimension that commutes with the faces, found by `search`."""
     if any(len(K.ids(n)) != len(L.ids(n)) for n in range(4)):
         return False
-    kverts, lverts = K.ids(0), L.ids(0)
-    for perm in itertools.permutations(lverts):
-        mapping = dict(zip(kverts, perm))
-        if _match_dim(K, L, mapping, 1):
-            return True
-    return False
 
+    def image(a, v: FaceValue) -> FaceValue:
+        return Degenerate(a[v.of], v.ops) if isinstance(v, Degenerate) else a[v]
 
-def _translate(mapping, v: FaceValue) -> FaceValue:
-    if isinstance(v, Degenerate):
-        return Degenerate(mapping[v.of], v.ops)
-    return mapping[v]
-
-
-def _match_dim(K, L, mapping, n):
-    if n == 4:
-        return True
-    lfaces = {s: L.faces[s] for s in L.ids(n)}
-    ks = list(K.ids(n))
-    return _assign(K, L, mapping, ks, 0, lfaces, set(), n)
-
-
-def _assign(K, L, mapping, ks, i, lfaces, used, n):
-    if i == len(ks):
-        return _match_dim(K, L, dict(mapping), n + 1)
-    s = ks[i]
-    want = tuple(_translate(mapping, v) for v in K.faces[s])
-    for t in L.ids(n):
-        if t in used or lfaces[t] != want:
-            continue
-        mapping[s] = t
-        used.add(t)
-        if _assign(K, L, mapping, ks, i + 1, lfaces, used, n):
-            return True
-        used.discard(t)
-        del mapping[s]
-    return False
+    with_faces, domains = {}, {v: L.ids(0) for v in K.ids(0)}
+    for n in range(1, 4):
+        for t in L.ids(n):
+            with_faces.setdefault(L.faces[t], []).append(t)
+        for s in K.ids(n):
+            domains[s] = lambda a, s=s: with_faces.get(tuple(image(a, v) for v in K.faces[s]), ())
+    return any(True for _ in search(domains, distinct=[K.ids(n) for n in range(4)]))

@@ -63,7 +63,8 @@ def sweep_corpus_categories() -> list[tuple[str, FinCategory]]:
 def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = (4, 16)) -> Tally:
     """Agreement of the comma-based decision with the brute-force oracle
     over every monotone map between posets of at most four elements, plus
-    the curated non-poset instances.  Certificates are re-verified."""
+    the curated non-poset instances.  Certificates are re-verified and must
+    be one of the oracle's (functor, unit) pairs."""
     t = Tally()
     posets = corpus.posets_up_to(4)
     instances = []
@@ -79,8 +80,11 @@ def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = (4, 16)) -> Tal
         if g.exists != b.exists:
             t.check(False, {"instance": name, "reason": "existence disagreement"})
         else:
-            verified = not g.exists or adjoint.verify_adjunction(g.certificate).ok
-            t.check(verified, {"instance": name, "reason": "certificate fails verification"})
+            cert, pairs = g.certificate, [(F.obj_map, F.mor_map, u) for F, u in b.pairs]
+            verified = not g.exists or (
+                adjoint.verify_adjunction(cert).ok and (cert.left.obj_map, cert.left.mor_map, cert.unit) in pairs
+            )
+            t.check(verified, {"instance": name, "reason": "certificate fails verification or is no oracle pair"})
     return t
 
 

@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from finadj import corpus
+from finadj import corpus, fincat
 from finadj.adjoint import (
     AdjunctionCertificate,
     OracleBoundExceeded,
@@ -238,6 +240,22 @@ def test_coinitial_functor_restriction_preserves_limits():
         big = {c.apex for c in limit(target, p)}
         small = {c.apex for c in limit(target, compose_functors(p, F))}
         assert big == small
+
+
+def test_the_comma_decision_never_runs_the_shared_search(monkeypatch):
+    curated = corpus.curated_oracle_functors()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fincat.search was called")
+
+    shared = fincat.search
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "finadj" and getattr(module, "search", None) is shared:
+            monkeypatch.setattr(module, "search", refuse)
+    for _, G in curated:
+        gaft_decide(G)
+    with pytest.raises(AssertionError, match="fincat.search"):
+        brute_force_left_adjoint(curated[0][1])
 
 
 def test_empty_target_category_is_handled():

@@ -3,7 +3,8 @@
 Every function, class and method defined in `src/finadj` must be named
 again somewhere in `src/`, `tests/` or `demos/`.  Its own definition does
 not count, and neither does a re-export from an `__init__.py`.  Dunder
-methods are exempt: the interpreter calls them.
+methods are exempt: the interpreter calls them.  Every name a module of
+`src/finadj` imports at module level is used in that module.
 """
 
 import ast
@@ -38,3 +39,19 @@ def test_every_definition_is_referenced():
         if sum(len(word.findall(text)) for text in texts) <= defined[name]:
             unreferenced.append(f"{where} {name}")
     assert not unreferenced, unreferenced
+
+
+def test_every_module_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused

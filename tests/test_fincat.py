@@ -2,7 +2,7 @@ import itertools
 from collections import deque
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from finadj import corpus
 from finadj.fincat import (
@@ -25,6 +25,7 @@ from finadj.fincat import (
     naturally_isomorphic,
     opposite,
     opposite_functor,
+    search,
     validate_category,
     validate_functor,
 )
@@ -268,6 +269,24 @@ def test_isomorphic_detects_relabelings_and_rejects_others():
     assert not isomorphic(CATS["pp"], CATS["iso2"])
 
 
+def test_isomorphic_keeps_object_and_morphism_ids_apart():
+    # the object f has the identity morphism f
+    C = validate_category(
+        {
+            "objects": ["f", "g"],
+            "morphisms": [
+                {"id": "f", "src": "f", "dst": "f"},
+                {"id": "g", "src": "g", "dst": "g"},
+                {"id": "u", "src": "f", "dst": "g"},
+            ],
+            "identities": {"f": "f", "g": "g"},
+        }
+    )
+    D, _, _ = _relabeled(C, "q_")
+    assert isomorphic(C, C)
+    assert isomorphic(C, D) and isomorphic(D, C)
+
+
 def test_natural_isomorphism_detection():
     C = CATS["iso2"]
     ident = identity_functor(C)
@@ -367,3 +386,64 @@ def _components_reference(nodes, edges):
 def test_components_matches_breadth_first_search(graph):
     nodes, edges = graph
     assert components(nodes, edges) == _components_reference(nodes, edges)
+
+
+@st.composite
+def search_problems(draw):
+    """Variables with static or dependent domains over small integers,
+    random constraints over random subsets of them, and distinct groups."""
+    keys = _names(draw, draw(st.integers(0, 5)))
+    value = st.integers(0, 3)
+    bases, domains = [], {}
+    for k in keys:
+        base = draw(st.lists(value, max_size=4))
+        bases.append(base)
+        if draw(st.booleans()):
+            # keep a value depending on it and the sum of the earlier ones
+            kept = draw(st.sets(st.tuples(value, st.integers(0, 2))))
+            domains[k] = lambda a, base=base, kept=kept: [v for v in base if (v, sum(a.values()) % 3) in kept]
+        else:
+            domains[k] = base
+    constraints = []
+    for _ in range(draw(st.integers(0, 4)) if keys else 0):
+        vs = tuple(draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3)))
+        weights = draw(st.lists(st.integers(0, 3), min_size=len(vs), max_size=len(vs)))
+        shift, modulus = draw(st.integers(0, 2)), draw(st.integers(2, 3))
+        ok = lambda *vals, w=weights, c=shift, m=modulus: (sum(x * y for x, y in zip(w, vals)) + c) % m != 0
+        constraints.append((vs, ok))
+    distinct = draw(st.lists(st.sets(st.sampled_from(keys), min_size=2), max_size=2)) if len(keys) > 1 else []
+    return keys, bases, domains, constraints, [sorted(g) for g in distinct]
+
+
+def _search_reference(keys, bases, domains, constraints, distinct):
+    """Product of the static bases, kept when every value lies in its
+    domain, every constraint holds and every group is pairwise distinct."""
+    out = []
+    for combo in itertools.product(*bases):
+        a = dict(zip(keys, combo))
+        if not all(
+            not callable(domains[k]) or a[k] in domains[k](dict(zip(keys[:i], combo[:i])))
+            for i, k in enumerate(keys)
+        ):
+            continue
+        if not all(ok(*[a[v] for v in vs]) for vs, ok in constraints):
+            continue
+        if all(len({a[k] for k in g}) == len(g) for g in distinct):
+            out.append(a)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_problems())
+def test_search_matches_product_and_filter(problem):
+    keys, bases, domains, constraints, distinct = problem
+    found = list(search(domains, constraints, distinct))
+    assert found == _search_reference(keys, bases, domains, constraints, distinct)
+    assert all(list(a) == keys for a in found)
+
+
+def test_search_with_one_distinct_group_gives_the_permutations():
+    for n in range(5):
+        keys = [f"x{i}" for i in range(n)]
+        found = [tuple(a.values()) for a in search({k: range(n) for k in keys}, distinct=[keys])]
+        assert found == list(itertools.permutations(range(n)))

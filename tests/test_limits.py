@@ -1,10 +1,15 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from finadj import corpus
 from finadj.fincat import identity_functor, opposite
 from finadj.limits import (
+    KINDS,
     LimitAbsentInSource,
+    _limit_instances,
+    cones,
     cospan_diagram,
     empty_diagram,
     equalizer_cones,
@@ -176,3 +181,25 @@ def test_minimal_sets_are_minimal(name):
     for s in weakly_initial_sets(C):
         for k in range(len(s)):
             assert not is_weakly_initial(C, s[:k] + s[k + 1 :])
+
+
+def _cones_reference(C, diagram):
+    """Every apex and every choice of legs, kept when each arrow commutes."""
+    J = diagram.source
+    out = []
+    for apex in C.objects:
+        for combo in itertools.product(*(C.hom(apex, diagram.obj_map[j]) for j in J.objects)):
+            legs = dict(zip(J.objects, combo))
+            if all(C.compose(diagram.mor_map[m.id], legs[m.src]) == legs[m.dst] for m in J.morphisms):
+                out.append((apex, legs))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATS))
+def test_cones_match_product_and_filter(name):
+    for C in (CATS[name], opposite(CATS[name])):
+        for kind in KINDS:
+            for _, _, diagram in _limit_instances(C, kind):
+                found = [(c.apex, c.legs) for c in cones(C, diagram)]
+                assert found == _cones_reference(C, diagram), (name, kind)
+                assert all(list(legs) == list(diagram.source.objects) for _, legs in found)
