@@ -467,10 +467,8 @@ def homotopy_functor(G: GpdFunctor) -> FinFunctor:
 @dataclass(frozen=True)
 class EnrichedComma:
     base: GpdCategory
-    anchor: str
     pairs: dict[str, tuple[str, str]]  # comma object -> (object, 1-cell)
     cell_info: dict[str, tuple[str, str]]  # comma 1-cell -> (phi, alpha)
-    arrow_info: dict[str, str]  # comma 2-cell -> underlying 2-cell
 
 
 def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
@@ -580,7 +578,7 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
 
     base = GpdCategory(tuple(objects), homs, identities, hcomp_cells, hcomp_arrows)
     check_gcat(base)
-    return EnrichedComma(base, c, pairs, cell_info, arrow_info)
+    return EnrichedComma(base, pairs, cell_info)
 
 
 # -- decision procedures -----------------------------------------------------
@@ -680,11 +678,13 @@ def comparison_functor(G: GpdFunctor, c: str) -> tuple[FinFunctor, FunctorProfil
     for o in h_ec.category.objects:
         d, u = ec.pairs[o]
         obj_map[o] = oc_by_pair[(d, ht.cell_class[u])]
+    # a comma morphism is determined by its ends and its image in the base
+    oc_mor = {(m.src, m.dst, oc.projection.mor_map[m.id]): m.id for m in oc.base.morphisms}
     mor_map = {}
     for rep in h_ec.category.morphism_ids():
         phi, _alpha = ec.cell_info[rep]
         src_o, dst_o = h_ec.category.src(rep), h_ec.category.dst(rep)
-        mor_map[rep] = f"({hs.cell_class[phi]}):{obj_map[src_o]}>{obj_map[dst_o]}"
+        mor_map[rep] = oc_mor[(obj_map[src_o], obj_map[dst_o], hs.cell_class[phi])]
     F = FinFunctor(h_ec.category, oc.base, obj_map, mor_map)
     check_functor_laws(F)
     profile = functor_profile(F)
@@ -773,7 +773,8 @@ def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     o_first: tuple[str, ...] = ()
     if ordinary_has:
         o_first = o_sets[0]
-        lifted = tuple(f"({oc.pairs[o][0]},{oc.pairs[o][1]})" for o in o_first)
+        ec_by_pair = {pair: o for o, pair in ec.pairs.items()}
+        lifted = tuple(ec_by_pair[oc.pairs[o]] for o in o_first)
         up_ok = limits.is_weakly_initial(ec.base.cell_layer, lifted)
 
     return InvarianceReport(enriched_has, ordinary_has, down_ok, up_ok, e_first, o_first)

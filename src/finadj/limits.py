@@ -17,6 +17,7 @@ from .fincat import (
     CategoryError,
     FinCategory,
     FinFunctor,
+    compose_functors,
     identity_functor,
     minimal_sets,
     search,
@@ -208,8 +209,6 @@ def has_finite_limits(C: FinCategory) -> FiniteLimitsReport:
 
 
 def _image_cone(G: FinFunctor, cone: Cone) -> Cone:
-    from .fincat import compose_functors
-
     return Cone(
         compose_functors(G, cone.diagram),
         G.obj_map[cone.apex],

@@ -17,7 +17,7 @@ from . import adjoint, brown, corpus, enriched, limits, simplicial
 from .fincat import (
     FinCategory,
     FinFunctor,
-    build_category,
+    category_over,
     functor_profile,
     opposite,
 )
@@ -193,31 +193,9 @@ def inflate(C: FinCategory, copies: list[int]) -> FinFunctor:
     parallel pairs whenever C does.  This supplies arbitrarily many
     functors meeting the initial-reflection hypotheses.
     """
-    names = {
-        x: [f"{x}.{k}" for k in range(m)] for x, m in zip(C.objects, copies)
-    }
-    objects = [n for x in C.objects for n in names[x]]
-    mid = lambda f, a, b: f"{f}@{a}>{b}"
-    morphisms, identity, obj_map, mor_map = [], {}, {}, {}
-    for x in C.objects:
-        for n in names[x]:
-            obj_map[n] = x
-    for a in objects:
-        for b in objects:
-            for f in C.hom(obj_map[a], obj_map[b]):
-                m = mid(f, a, b)
-                morphisms.append((m, a, b))
-                mor_map[m] = f
-                if a == b and f == C.id_of(obj_map[a]):
-                    identity[a] = m
-    compose = {}
-    for m, a, b in morphisms:
-        for m2, b2, c in morphisms:
-            if b2 != b:
-                continue
-            compose[(m2, m)] = mid(C.compose(mor_map[m2], mor_map[m]), a, c)
-    D = build_category(objects, morphisms, identity, compose)
-    return FinFunctor(D, C, obj_map, mor_map)
+    over = {f"{x}.{k}": x for x, m in zip(C.objects, copies) for k in range(m)}
+    arrows = [(f, a, b) for a in over for b in over for f in C.hom(over[a], over[b])]
+    return category_over(C, over, arrows)
 
 
 def reflection_pool() -> list[tuple[str, FinCategory]]:

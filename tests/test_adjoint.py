@@ -1,3 +1,5 @@
+import hashlib
+import json
 import sys
 
 import pytest
@@ -63,6 +65,26 @@ def test_comma_over_empty_when_unreachable():
     assert comma_over(F, "0").base.objects == ()
 
 
+# sha256 of [base.to_dict(), pairs] for every comma below, taken from the
+# release whose commas were built by hand instead of by category_over
+COMMA_DIGEST = "5c1b1cb037ec43b90439f6ae4456110180fe86e1ac4ffd427380b8dcb9acea9a"
+
+
+def test_commas_are_pinned():
+    functors = [G for _, G in corpus.curated_oracle_functors()]
+    posets = corpus.posets_up_to(3)
+    functors += [G for P in posets for Q in posets for G in corpus.monotone_maps(P, Q)]
+    functors += [identity_functor(C) for C in CATS.values()]
+    digest = hashlib.sha256()
+    for G in functors:
+        for build in (comma_under, comma_over):
+            for x in G.target.objects:
+                comma = build(G, x)
+                digest.update(json.dumps([comma.base.to_dict(), comma.pairs]).encode())
+    assert len(functors) == 525
+    assert digest.hexdigest() == COMMA_DIGEST
+
+
 def test_comma_duality_on_curated_corpus():
     for name, G in corpus.curated_oracle_functors():
         for d in G.target.objects:
@@ -119,8 +141,30 @@ def test_gaft_identity_yields_identity_adjoint():
 
 def test_construct_left_adjoint_rejects_non_initial_witness():
     G = chain3_to_two()
-    with pytest.raises(WitnessNotInitial):
-        construct_left_adjoint(G, {"0": ("0", "id_0"), "1": ("2", "id_1")})
+    # an object of the comma that is not initial; a unit outside
+    # hom(1, G 2); an unknown object of the source
+    for at_1 in (("2", "id_1"), ("2", "id_0"), ("9", "id_1")):
+        with pytest.raises(WitnessNotInitial):
+            construct_left_adjoint(G, {"0": ("0", "id_0"), "1": at_1})
+
+
+def test_gaft_decide_builds_each_comma_once(monkeypatch):
+    from finadj import adjoint
+
+    built = []
+
+    def counting(G, c):
+        built.append(c)
+        return comma_under(G, c)
+
+    monkeypatch.setattr(adjoint, "comma_under", counting)
+    decided = 0
+    for name, G in corpus.curated_oracle_functors():
+        built.clear()
+        if gaft_decide(G).exists:
+            assert built == list(G.target.objects), name
+            decided += 1
+    assert decided == 8
 
 
 def test_verify_adjunction_flags_mutated_unit():

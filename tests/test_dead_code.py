@@ -4,7 +4,8 @@ Every function, class and method defined in `src/finadj` must be named
 again somewhere in `src/`, `tests/` or `demos/`.  Its own definition does
 not count, and neither does a re-export from an `__init__.py`.  Dunder
 methods are exempt: the interpreter calls them.  Every name a module of
-`src/finadj` imports at module level is used in that module.
+`src/finadj` imports at module level is used in that module, and every
+field of a dataclass there is read as an attribute somewhere.
 """
 
 import ast
@@ -55,3 +56,26 @@ def test_every_module_import_is_used():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, unused
+
+
+def _is_dataclass(decorator) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_field_is_read():
+    read = {
+        node.attr
+        for folder in ("src", "tests", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+                for field in node.body:
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in read:
+                        unread.append(f"{path.name}:{field.lineno} {node.name}.{field.target.id}")
+    assert not unread, unread

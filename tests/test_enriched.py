@@ -402,6 +402,31 @@ def test_solution_set_invariance_with_witness_transfer():
             assert rep.transfer_down_ok and rep.transfer_up_ok, (name, c)
 
 
+# (enriched_set, ordinary_set) per anchor, taken from the release before the
+# ordinary comma was built through fincat.category_over
+INVARIANCE_SETS = {
+    "embed_id_chain3": {"0": (("(0,id_0)",), ("(0,id_0)",)), "1": (("(1,id_1)",), ("(1,id_1)",)), "2": (("(2,id_2)",), ("(2,id_2)",))},
+    "embed_chain3_to_two": {"0": (("(0,id_0)",), ("(0,id_0)",)), "1": (("(1,id_1)",), ("(1,id_1)",))},
+    "embed_one_to_disc2": {"x": (("(*,id_x)",), ("(*,id_x)",)), "y": ((), ())},
+    "embed_two_to_chain3": {"0": (("(0,id_0)",), ("(0,id_0)",)), "1": (("(1,1<2)",), ("(1,1<2)",)), "2": (("(1,id_2)",), ("(1,id_2)",))},
+    "embed_one_to_chain3_top": {"0": (("(*,0<2)",), ("(*,0<2)",)), "1": (("(*,1<2)",), ("(*,1<2)",)), "2": (("(*,id_2)",), ("(*,id_2)",))},
+    "pz2_pick_y": {"x": (("(*,f)",), ("(*,f)",)), "y": (("(*,id_y)",), ("(*,id_y)",))},
+    "pz2_pick_x": {"x": (("(*,id_x)",), ("(*,id_x)",)), "y": ((), ())},
+    "pz2_identity": {"x": (("(x,id_x)",), ("(x,id_x)",)), "y": (("(y,id_y)",), ("(y,id_y)",))},
+    "pz2_to_point": {"*": (("(x,id_*)",), ("(x,id_*)",))},
+    "disc_gpd_pick_x": {"x": (("(*,id_x)",), ("(*,id_x)",)), "y": ((), ())},
+    "disc_gpd_pick_y": {"x": (("(*,f1)", "(*,f2)"), ("(*,f1)", "(*,f2)")), "y": (("(*,id_y)",), ("(*,id_y)",))},
+}
+
+
+def test_solution_set_invariance_witnesses_are_pinned():
+    found = {}
+    for name, G in corpus.enriched_functors():
+        reps = {c: solution_set_invariance(G, c) for c in G.target.objects}
+        found[name] = {c: (r.enriched_set, r.ordinary_set) for c, r in reps.items()}
+    assert found == INVARIANCE_SETS
+
+
 def test_weakly_initial_object_sets_on_pz2():
     # objects reaching everything by a 1-cell: weak initiality in the 1-cell layer
     assert weakly_initial_sets(corpus.pz2().cell_layer) == [("x",)]

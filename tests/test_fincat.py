@@ -13,7 +13,9 @@ from finadj.fincat import (
     NotFunctorial,
     ShapeError,
     UnknownObject,
+    CategoryError,
     FinFunctor,
+    category_over,
     check_laws,
     components,
     compose_functors,
@@ -447,3 +449,45 @@ def test_search_with_one_distinct_group_gives_the_permutations():
         keys = [f"x{i}" for i in range(n)]
         found = [tuple(a.values()) for a in search({k: range(n) for k in keys}, distinct=[keys])]
         assert found == list(itertools.permutations(range(n)))
+
+
+def _chain3_lifts(*dropped):
+    C = CATS["chain3"]
+    over = {"a": "0", "b": "1", "c": "2"}
+    arrows = [(m, o, o2) for o in over for o2 in over for m in C.hom(over[o], over[o2])]
+    return C, over, [a for a in arrows if a not in dropped]
+
+
+def test_category_over_all_lifts_is_a_copy_with_a_faithful_projection():
+    C, over, arrows = _chain3_lifts()
+    P = category_over(C, over, arrows)
+    assert isomorphic(P.source, C)
+    assert P.obj_map == over
+    assert P.source.hom("a", "c") == ("(0<2):a>c",) and P.mor_map["(0<2):a>c"] == "0<2"
+    assert P.source.compose("(1<2):b>c", "(0<1):a>b") == "(0<2):a>c"
+
+
+def test_category_over_rejects_lifts_not_closed_under_composition():
+    with pytest.raises(MissingComposite):
+        category_over(*_chain3_lifts(("0<2", "a", "c")))
+
+
+def test_category_over_rejects_a_missing_identity_lift():
+    with pytest.raises(IdentityViolation):
+        category_over(*_chain3_lifts(("id_2", "c", "c")))
+
+
+@pytest.mark.parametrize(
+    "stray",
+    [("0<1", "a", "c"), ("1<2", "a", "c"), ("nope", "a", "b"), ("0<1", "a", "zz"), ("id_0", "zz", "zz")],
+)
+def test_category_over_rejects_lifts_that_do_not_lie_over_their_ends(stray):
+    C, over, arrows = _chain3_lifts()
+    with pytest.raises(CategoryError):
+        category_over(C, over, arrows + [stray])
+
+
+def test_category_over_rejects_objects_over_nothing():
+    C, over, arrows = _chain3_lifts()
+    with pytest.raises(CategoryError):
+        category_over(C, {**over, "d": "9"}, arrows)
