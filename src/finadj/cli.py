@@ -378,9 +378,12 @@ _RUNNERS = {
 }
 
 
+# built once per process: parse_args leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     inputs = _Inputs()
     try:
         cert = _RUNNERS[args.verb](args, inputs)

@@ -198,51 +198,69 @@ class FinCategory:
         }
 
 
-def check_laws(C: FinCategory) -> None:
-    """Re-assert the category laws on an already built value.
+def _check_tables(C: FinCategory) -> dict[str, list[Morphism]]:
+    """The laws of `check_laws` short of associativity: identities, the ends
+    of every morphism and compose entry, a compose entry for every
+    composable pair, and the unit laws.  Returns the morphisms by source.
 
-    Raises the matching error on the first violated law.  Used after every
-    internal construction so nothing depends on a constructor being right.
+    The tables are read directly; an index into the compose table is safe
+    once the composable-pair check has passed.
     """
+    mor, table, identity, objects = C._mor, C.compose_table, C.identity, C._obj_index
     for x in C.objects:
-        e = C.identity.get(x)
-        if e is None or not C.has_morphism(e):
+        e = mor.get(identity.get(x))
+        if e is None:
             raise IdentityViolation(f"object {x!r} has no identity morphism")
-        if C.src(e) != x or C.dst(e) != x:
-            raise IdentityViolation(f"identity {e!r} of {x!r} is not an endomorphism of it")
-    stray = C.identity.keys() - C._obj_index.keys()
+        if e.src != x or e.dst != x:
+            raise IdentityViolation(f"identity {e.id!r} of {x!r} is not an endomorphism of it")
+    stray = identity.keys() - objects.keys()
     if stray:
         raise UnknownObject(f"identities are declared for unknown objects {sorted(stray)}")
     for m in C.morphisms:
-        if not C.has_object(m.src) or not C.has_object(m.dst):
+        if m.src not in objects or m.dst not in objects:
             raise UnknownObject(f"morphism {m.id!r} has unknown endpoints")
-    for (g, f), gf in C.compose_table.items():
-        if not (C.has_morphism(g) and C.has_morphism(f) and C.has_morphism(gf)):
+    for (g, f), gf in table.items():
+        mg, mf, mgf = mor.get(g), mor.get(f), mor.get(gf)
+        if mg is None or mf is None or mgf is None:
             raise MissingComposite(f"compose entry ({g}, {f}) -> {gf} references unknown morphisms")
-        if C.dst(f) != C.src(g):
+        if mf.dst != mg.src:
             raise MissingComposite(f"compose entry ({g}, {f}) is not composable")
-        if C.src(gf) != C.src(f) or C.dst(gf) != C.dst(g):
+        if mgf.src != mf.src or mgf.dst != mg.dst:
             raise MissingComposite(
                 f"compose({g}, {f}) = {gf} has endpoints "
-                f"{C.src(gf)!r}->{C.dst(gf)!r}, expected {C.src(f)!r}->{C.dst(g)!r}"
+                f"{mgf.src!r}->{mgf.dst!r}, expected {mf.src!r}->{mg.dst!r}"
             )
     out: dict[str, list[Morphism]] = {}  # by source: only composable pairs and triples are visited
     for m in C.morphisms:
         out.setdefault(m.src, []).append(m)
     for f in C.morphisms:
         for g in out.get(f.dst, ()):
-            if (g.id, f.id) not in C.compose_table:
+            if (g.id, f.id) not in table:
                 raise MissingComposite(f"no compose entry for composable pair ({g.id}, {f.id})")
     for m in C.morphisms:
-        if C.compose(m.id, C.identity[m.src]) != m.id:
-            raise IdentityViolation(f"{m.id} o id_{C.src(m.id)} != {m.id}")
-        if C.compose(C.identity[m.dst], m.id) != m.id:
-            raise IdentityViolation(f"id_{C.dst(m.id)} o {m.id} != {m.id}")
+        if table[(m.id, identity[m.src])] != m.id:
+            raise IdentityViolation(f"{m.id} o id_{m.src} != {m.id}")
+        if table[(identity[m.dst], m.id)] != m.id:
+            raise IdentityViolation(f"id_{m.dst} o {m.id} != {m.id}")
+    return out
+
+
+def check_laws(C: FinCategory) -> None:
+    """Re-assert the category laws on an already built value.
+
+    Raises the matching error on the first violated law.  Used after every
+    internal construction so nothing depends on a constructor being right.
+    Associativity costs one pass over the composable triples.  Only
+    `category_over` skips that pass: its categories inherit associativity
+    from their base through a faithful, checked projection (see there).
+    """
+    out = _check_tables(C)
+    table = C.compose_table
     for f in C.morphisms:
         for g in out.get(f.dst, ()):
-            gf = C.compose(g.id, f.id)
+            gf = table[(g.id, f.id)]
             for h in out.get(g.dst, ()):
-                if C.compose(h.id, gf) != C.compose(C.compose(h.id, g.id), f.id):
+                if table[(h.id, gf)] != table[(table[(h.id, g.id)], f.id)]:
                     raise AssociativityViolation(
                         f"h o (g o f) != (h o g) o f for (h, g, f) = ({h.id}, {g.id}, {f.id})"
                     )
@@ -274,11 +292,28 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     D.  Morphisms are the lifts (phi, o, o2) of morphisms phi of D, named
     "(phi):o>o2", and they compose as their images compose in D.  The
     identity of o is the lift of the identity of over[o].  Comma categories
-    and inflations are built this way.  The category laws and the functor
-    laws of the projection are checked, so lifts that are not closed under
-    composition or do not lie over their ends raise a CategoryError.
+    and inflations are built this way.
+
+    D must satisfy the category laws.  A lift whose phi is not a morphism
+    of D from over[o] to over[o2] raises NotFunctorial naming the lift.
+    Then the laws of `check_laws` short of associativity, the functor laws
+    of the projection P and the faithfulness of P are checked, so lifts
+    that are not closed under composition, miss an identity or repeat a
+    lift raise a CategoryError.  Associativity follows without visiting
+    composable triples: for composable lifts f, g, h the composites
+    h o (g o f) and (h o g) o f are parallel, as the ends of every compose
+    entry are checked; P sends them to Ph o (Pg o Pf) and (Ph o Pg) o Pf,
+    which are equal because D is associative; and a faithful P sends no two
+    parallel morphisms to one image.
     """
     lifts = [(f"({phi}):{o}>{o2}", phi, o, o2) for phi, o, o2 in arrows]
+    for m, phi, o, o2 in lifts:
+        below = D._mor.get(phi)
+        if below is None or (below.src, below.dst) != (over.get(o), over.get(o2)):
+            raise NotFunctorial(
+                f"lift {m} does not lie over its ends: {phi!r} is not a morphism "
+                f"from {over.get(o)!r} to {over.get(o2)!r}"
+            )
     name = {(phi, o, o2): m for m, phi, o, o2 in lifts}  # each name is formatted once and shared
     out: dict[str, list] = {}
     for lift in lifts:
@@ -291,9 +326,16 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
                 raise MissingComposite(f"no lift of {psi} o {phi} from {o!r} to {o3!r}")
             compose[(n, m)] = gf
     identity = {o: name.get((D.identity.get(x), o, o)) for o, x in over.items()}
-    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose)
+    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose, check=False)
+    _check_tables(base)
     projection = FinFunctor(base, D, dict(over), {m: phi for m, phi, _, _ in lifts})
     check_functor_laws(projection)
+    seen = set()
+    for m in base.morphisms:
+        key = (m.src, m.dst, projection.mor_map[m.id])
+        if key in seen:
+            raise NotFunctorial(f"the projection is not faithful: lift {m.id} occurs twice")
+        seen.add(key)
     return projection
 
 

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -199,6 +201,35 @@ def test_certificates_are_byte_identical_across_runs(files):
     assert run(["gaft", "--functor", paths["g.json"], "--out", str(a)]) == 0
     assert run(["gaft", "--functor", paths["g.json"], "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def _cli_mix_argvs(folder: Path, monkeypatch) -> list[list[str]]:
+    """Every argv of the benchmark's cli-mix workload, on its fixture files."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_mix_workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return [argv for argv, _, _ in workloads._cli_cases(workloads._cli_fixtures(str(folder)))]
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse reports usage errors this way
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_per_process_repeats_every_verb_byte_for_byte(tmp_path, monkeypatch):
+    argvs = _cli_mix_argvs(tmp_path, monkeypatch)
+    first = [_captured(argv) for argv in argvs]
+    code, out, err = _captured(["gaft"])
+    assert code == 2 and out == "" and "usage: finadj gaft" in err
+    assert [_captured(argv) for argv in argvs] == first
 
 
 def test_corpus_verb_summarizes_a_suite(files):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import deque
 
 import pytest
@@ -14,8 +15,11 @@ from finadj.fincat import (
     ShapeError,
     UnknownObject,
     CategoryError,
+    FinCategory,
     FinFunctor,
+    Morphism,
     category_over,
+    check_functor_laws,
     check_laws,
     components,
     compose_functors,
@@ -483,11 +487,110 @@ def test_category_over_rejects_a_missing_identity_lift():
 )
 def test_category_over_rejects_lifts_that_do_not_lie_over_their_ends(stray):
     C, over, arrows = _chain3_lifts()
-    with pytest.raises(CategoryError):
+    phi, o, o2 = stray
+    with pytest.raises(CategoryError, match=re.escape(f"lift ({phi}):{o}>{o2} does not lie over its ends")):
         category_over(C, over, arrows + [stray])
+
+
+def test_category_over_rejects_a_repeated_lift_as_unfaithful():
+    C, over, arrows = _chain3_lifts()
+    with pytest.raises(NotFunctorial, match=re.escape("not faithful: lift (0<1):a>b occurs twice")):
+        category_over(C, over, arrows + [("0<1", "a", "b")])
+
+
+def test_category_over_checks_that_its_projection_is_a_functor():
+    # not a category: an identity on "9", which is not among the objects.
+    # Every lift lies over its ends, so only the functor laws of the
+    # projection see that "a" lies over no object.
+    D = FinCategory(
+        ("0",),
+        (Morphism("id_0", "0", "0"), Morphism("id_9", "9", "9")),
+        {"0": "id_0", "9": "id_9"},
+        {("id_0", "id_0"): "id_0", ("id_9", "id_9"): "id_9"},
+    )
+    with pytest.raises(NotFunctorial, match="object 'a' has no valid image"):
+        category_over(D, {"a": "9"}, [("id_9", "a", "a")])
 
 
 def test_category_over_rejects_objects_over_nothing():
     C, over, arrows = _chain3_lifts()
     with pytest.raises(CategoryError):
         category_over(C, {**over, "d": "9"}, arrows)
+
+
+def _closed(D, over, arrows):
+    """`arrows` with every identity lift and every composite of lifts added."""
+    lifts = set(arrows) | {(D.id_of(x), o, o) for o, x in over.items() if D.has_object(x)}
+    while True:
+        new = {
+            (D.compose(psi, phi), o, o3) for phi, o, o2 in lifts for psi, p, o3 in lifts if p == o2
+        } - lifts
+        if not new:
+            return lifts
+        lifts |= new
+
+
+@st.composite
+def _lift_problems(draw):
+    """A category D (named, or the opposite of one), objects over D's objects
+    and a list of lifts: any subset of the lifts, or more often its closure,
+    then perhaps with a stray lift, a repeated lift, one lift dropped or an
+    object over "9", which is no object of D."""
+    D = CATS[draw(st.sampled_from(sorted(CATS)))]
+    if draw(st.booleans()):
+        D = opposite(D)
+    objects = draw(st.lists(st.sampled_from(D.objects), min_size=1, max_size=4)) if D.objects else []
+    over = {f"o{i}": x for i, x in enumerate(objects)}
+    every = [(m, o, o2) for o in over for o2 in over for m in D.hom(over[o], over[o2])]
+    arrows = draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+    if draw(st.integers(0, 2)):
+        arrows = [a for a in every if a in _closed(D, over, arrows)]
+    change = draw(st.sampled_from(["none", "none", "stray", "repeat", "drop", "foreign"]))
+    if change == "stray":
+        ends = st.sampled_from(list(over) + ["zz"])
+        arrows.append(draw(st.tuples(st.sampled_from(D.morphism_ids() + ("nope",)), ends, ends)))
+    elif change == "repeat" and arrows:
+        arrows.append(draw(st.sampled_from(arrows)))
+    elif change == "drop" and arrows:
+        arrows.pop(draw(st.integers(0, len(arrows) - 1)))
+    elif change == "foreign":
+        over["zz"] = "9"
+    return D, over, draw(st.permutations(arrows))
+
+
+def _category_over_reference(D, over, arrows):
+    """`category_over` by the definitions: the same table, then the full
+    category laws, the functor laws and faithfulness hom set by hom set."""
+    def name(phi, o, o2):
+        return f"({phi}):{o}>{o2}"
+
+    lifts = set(arrows)
+    compose = {
+        (name(psi, o2, o3), name(phi, o, o2)): name(D.compose_table.get((psi, phi)), o, o3)
+        for phi, o, o2 in arrows
+        for psi, p, o3 in arrows
+        if p == o2 and (D.compose_table.get((psi, phi)), o, o3) in lifts
+    }
+    identity = {o: name(D.identity[x], o, o) for o, x in over.items() if (D.identity.get(x), o, o) in lifts}
+    base = FinCategory(tuple(over), tuple(Morphism(name(*a), a[1], a[2]) for a in arrows), identity, compose)
+    check_laws(base)
+    P = FinFunctor(base, D, dict(over), {name(*a): a[0] for a in arrows})
+    check_functor_laws(P)
+    if not functor_profile(P).faithful:
+        raise NotFunctorial("the projection is not faithful")
+    return P
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lift_problems())
+def test_category_over_matches_the_full_law_check(problem):
+    D, over, arrows = problem
+    try:
+        expected = _category_over_reference(D, over, arrows)
+    except CategoryError:
+        with pytest.raises(CategoryError):
+            category_over(D, over, arrows)
+        return
+    P = category_over(D, over, arrows)
+    assert P == expected
+    check_laws(P.source)
