@@ -173,30 +173,26 @@ def categories() -> dict[str, FinCategory]:
 
 
 def posets_up_to(n: int = 4) -> list[FinCategory]:
-    """All posets with at most n elements, one per isomorphism class."""
+    """All posets with at most n elements, one per isomorphism class.
+
+    Every poset has a natural labelling, one where x_i < x_j implies i < j,
+    so the search only chooses the relations i < j: antisymmetry holds by
+    construction and transitivity is only checked on i < j < l.  A class is
+    kept by its canonical form, the least sorted relation over all k!
+    relabellings.
+    """
     out = []
     for k in range(n + 1):
-        pairs = [(i, j) for i in range(k) for j in range(k) if i != j]
+        pairs = list(itertools.combinations(range(k), 2))
         perms = list(itertools.permutations(range(k)))
-        seen = set()
-        forms = []
-        # one boolean per ordered pair: antisymmetric and transitive
-        constraints = [(((i, j), (j, i)), lambda p, q: not (p and q)) for i, j in pairs if i < j]
-        constraints += [
+        constraints = [
             (((i, j), (j, l), (i, l)), lambda p, q, r: r or not (p and q))
-            for i, j in pairs
-            for l in range(k)
-            if l not in (i, j)
+            for i, j, l in itertools.combinations(range(k), 3)
         ]
+        forms = set()
         for chosen in search({p: (False, True) for p in pairs}, constraints):
             rel = [p for p, b in chosen.items() if b]
-            canon = min(
-                tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms
-            )
-            if canon in seen:
-                continue
-            seen.add(canon)
-            forms.append(canon)
+            forms.add(min(tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms))
         for canon in sorted(forms, key=lambda c: (len(c), c)):
             objs = [f"p{i}" for i in range(k)]
             out.append(poset_category(objs, [(f"p{i}", f"p{j}") for i, j in canon]))

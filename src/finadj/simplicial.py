@@ -14,7 +14,9 @@ n = 3 because nerves have discrete mapping data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .fincat import CategoryError, FinCategory, check_shape, search
@@ -75,6 +77,42 @@ class TruncSSet:
 
     def has(self, s: str) -> bool:
         return s in self._dim
+
+    # The lifting tables below depend on K alone, and a value is never
+    # changed after construction, so each is computed once per value and
+    # shared by every `initial_by_lifting` query on it.
+
+    @cached_property
+    def _is_nerve(self) -> bool:
+        return inner_horn_check(self)
+
+    @cached_property
+    def _edges(self) -> dict[tuple[str, str], list[FaceValue]]:
+        return _edge_values(self)
+
+    @cached_property
+    def _two_faces(self) -> dict[FaceValue, tuple[FaceValue, ...]]:
+        """Every 2-value with its faces (d0, d1, d2)."""
+        return {v: tuple(face(self, v, i) for i in range(3)) for v in _two_values(self)}
+
+    @cached_property
+    def _two_by_d2(self) -> dict[FaceValue, list]:
+        by_d2: dict[FaceValue, list] = {}
+        for v, fs in self._two_faces.items():
+            by_d2.setdefault(fs[2], []).append((v, fs))
+        return by_d2
+
+    @cached_property
+    def _two_by_d2_d1(self) -> dict[tuple, list]:
+        by_d2_d1: dict[tuple, list] = {}
+        for v, fs in self._two_faces.items():
+            by_d2_d1.setdefault((fs[2], fs[1]), []).append((v, fs))
+        return by_d2_d1
+
+    @cached_property
+    def _three_faces(self) -> Counter:
+        """How many 3-values have each tuple of faces (d0, d1, d2, d3)."""
+        return Counter(tuple(face(self, v, i) for i in range(4)) for v in _three_values(self))
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -457,47 +495,36 @@ def inner_horn_check(K: TruncSSet) -> bool:
 
     Nerves of categories pass; uniqueness comes from the composition table.
     """
-    two = _two_values(K)
-    two_faces = {v: tuple(face(K, v, i) for i in range(3)) for v in two}
-    by_d2_d0: dict[tuple, int] = {}
-    for v in two:
-        d0, d1, d2 = two_faces[v]
-        k = (d2, d0)
-        by_d2_d0[k] = by_d2_d0.get(k, 0) + 1
-    edges = _edge_values(K)
+    by_d2_d0 = Counter((d2, d0) for d0, _, d2 in K._two_faces.values())
+    edges = K._edges
     for (a, b), e01s in edges.items():
         for (b2, c), e12s in edges.items():
             if b2 != b:
                 continue
             for e01 in e01s:
                 for e12 in e12s:
-                    if by_d2_d0.get((e01, e12), 0) != 1:
+                    if by_d2_d0[(e01, e12)] != 1:
                         return False
-    three = _three_values(K)
-    count_023: dict[tuple, int] = {}
-    count_013: dict[tuple, int] = {}
-    for v in three:
-        d0, d1, d2, d3 = (face(K, v, i) for i in range(4))
-        count_023[(d0, d2, d3)] = count_023.get((d0, d2, d3), 0) + 1
-        count_013[(d0, d1, d3)] = count_013.get((d0, d1, d3), 0) + 1
-    tf = list(two_faces.items())
-    by_d2 = {}
-    for v, (d0, d1, d2) in tf:
-        by_d2.setdefault(d2, []).append((v, (d0, d1, d2)))
-    for s3, (e12, e02, e01) in tf:
+    count_023: Counter = Counter()
+    count_013: Counter = Counter()
+    for (d0, d1, d2, d3), k in K._three_faces.items():
+        count_023[(d0, d2, d3)] += k
+        count_013[(d0, d1, d3)] += k
+    by_d2 = K._two_by_d2
+    for s3, (e12, e02, e01) in K._two_faces.items():
         # Lambda^3_1 horns containing s3 as face 3
         for s2, (e13, e03, _) in by_d2.get(e01, ()):
             for s0, (e23, e13b, e12b) in by_d2.get(e12, ()):
                 if e13b != e13:
                     continue
-                if count_023.get((s0, s2, s3), 0) != 1:
+                if count_023[(s0, s2, s3)] != 1:
                     return False
         # Lambda^3_2 horns containing s3 as face 3
         for s1, (e23, e03, e02b) in by_d2.get(e02, ()):
             for s0, (e23b, e13, e12b) in by_d2.get(e12, ()):
                 if e23b != e23:
                     continue
-                if count_013.get((s0, s1, s3), 0) != 1:
+                if count_013[(s0, s1, s3)] != 1:
                     return False
     return True
 
@@ -508,40 +535,32 @@ def initial_by_lifting(K: TruncSSet, x: str, nmax: int = 3) -> bool:
     Enumerates all maps from the n-sphere boundary into K with vertex 0 at
     x, for 1 <= n <= nmax, and looks the filler up among all (possibly
     degenerate) simplex values.  K must look like a nerve, as certified by
-    the inner-horn check.
+    the inner-horn check.  The tables of K are built on the first query and
+    reused by later ones; only the spheres anchored at x are walked here.
     """
     if not (K.has(x) and K.dim(x) == 0):
         raise SimplicialError(f"{x!r} is not a vertex")
     if not 1 <= nmax <= 3:
         raise SimplicialError("nmax must be between 1 and 3")
-    if not inner_horn_check(K):
+    if not K._is_nerve:
         raise NotANerve("inner horns do not have unique fillers")
-    edges = _edge_values(K)
+    edges = K._edges
     if any((x, v) not in edges for v in K.ids(0)):
         return False
     if nmax == 1:
         return True
-    two = _two_values(K)
-    two_faces = {v: tuple(face(K, v, i) for i in range(3)) for v in two}
-    have_two = set(two_faces.values())
+    by_d2_d1 = K._two_by_d2_d1
     for v1 in K.ids(0):
         for v2 in K.ids(0):
-            for e01 in edges.get((x, v1), ()):
-                for e02 in edges.get((x, v2), ()):
+            for e01 in edges[(x, v1)]:
+                for e02 in edges[(x, v2)]:
                     for e12 in edges.get((v1, v2), ()):
-                        if (e12, e02, e01) not in have_two:
+                        if not any(fs[0] == e12 for _, fs in by_d2_d1.get((e01, e02), ())):
                             return False
     if nmax == 2:
         return True
-    have_three = {tuple(face(K, v, i) for i in range(4)) for v in _three_values(K)}
-    by_d2 = {}
-    by_d2_d1 = {}
-    for v, (d0, d1, d2) in two_faces.items():
-        by_d2.setdefault(d2, []).append((v, (d0, d1, d2)))
-        by_d2_d1.setdefault((d2, d1), []).append((v, (d0, d1, d2)))
-    anchored = [
-        (v, fs) for v, fs in two_faces.items() if value_vertices(K, v)[0] == x
-    ]
+    by_d2, have_three = K._two_by_d2, K._three_faces
+    anchored = (s for v1 in K.ids(0) for e01 in edges[(x, v1)] for s in by_d2.get(e01, ()))
     for s3, (e12, e02, e01) in anchored:
         for s2, (e13, e03, _) in by_d2.get(e01, ()):
             for s1, (e23, e03b, e02b) in by_d2_d1.get((e02, e03), ()):

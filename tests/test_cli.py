@@ -140,6 +140,16 @@ def test_negative_set_size_is_a_usage_error(files, capsys):
     assert captured.out == "" and "--max-set-size" in captured.err
 
 
+def test_unwritable_out_path_exits_two(files, capsys):
+    tmp_path, paths, _ = files
+    target = tmp_path / "no_such_dir" / "x.json"
+    assert run(["nerve", "--category", paths["chain3.json"], "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
+
+
 def test_bound_errors_exit_three(files):
     tmp_path, paths, write = files
     circle = write(

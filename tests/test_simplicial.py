@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from finadj import corpus
+from finadj import corpus, sweeps
 from finadj.fincat import ClosureBoundExceeded, hom_set, identity_functor, isomorphic as cat_isomorphic
 from finadj.adjoint import comma_over
 from finadj.limits import initial_objects
@@ -208,8 +210,20 @@ def test_initial_by_lifting_agrees_with_initial_objects():
 
 
 def test_initial_by_lifting_rejects_non_nerves():
-    with pytest.raises(NotANerve):
-        initial_by_lifting(boundary_simplex(2), "0")
+    K = boundary_simplex(2)
+    for _ in range(2):  # the cached horn verdict raises on every call
+        with pytest.raises(NotANerve):
+            initial_by_lifting(K, "0")
+
+
+def test_lifting_tables_shared_across_queries_match_fresh_nerves():
+    rng = random.Random(0)
+    for name, C in sweeps.sweep_corpus_categories():
+        K = nerve(C)
+        queries = [(x, n) for x in C.objects for n in (1, 2, 3)]
+        rng.shuffle(queries)
+        for x, n in queries:
+            assert initial_by_lifting(K, x, n) == initial_by_lifting(nerve(C), x, n), (name, x, n)
 
 
 def test_face_pushes_through_degeneracies():
