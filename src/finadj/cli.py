@@ -239,8 +239,6 @@ def _run_brown(args, inputs: _Inputs) -> dict:
         gens = brown.weak_generators(C)
         return _certificate("weak_generators", [list(g) for g in gens], {}, inputs)
     if args.check == "exhaustive":
-        if args.max_set_size < 0:
-            raise UnknownVerb("--max-set-size must be at least 0")
         C = _category_arg(args, inputs)
         rep = brown.exhaustive_representability_check(C, args.max_set_size)
         witness = {
@@ -283,12 +281,24 @@ def _run_corpus(args, inputs: _Inputs) -> dict:
     return _certificate(f"corpus_{args.suite}", verdict, report, inputs)
 
 
-def _parse_bounds(text: str) -> tuple[int, int]:
+def _non_negative(text: str) -> int:
+    """A non-negative integer: the type of --closure-bound, --max-set-size
+    and each half of --oracle-bounds."""
     try:
-        lo, hi = (int(p) for p in text.split(","))
-        return lo, hi
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("expected two comma-separated integers") from None
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def _parse_bounds(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("expected two comma-separated non-negative integers")
+    lo, hi = map(_non_negative, parts)
+    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OBJ,MOR",
         help="refusal bounds for the brute-force oracle",
     )
-    common.add_argument("--closure-bound", type=int, default=10_000)
+    common.add_argument("--closure-bound", type=_non_negative, default=10_000)
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def add_parser(name, **kw):
@@ -355,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["represent", "b1", "b2", "b1p-b2p", "generators", "exhaustive"],
         default="represent",
     )
-    p.add_argument("--max-set-size", type=int, default=2)
+    p.add_argument("--max-set-size", type=_non_negative, default=2)
 
     p = add_parser("corpus", help="run a named invariant sweep")
     p.add_argument("suite", choices=list(sweeps.SUITES))
@@ -383,7 +393,10 @@ _PARSER = build_parser()
 
 
 def run(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    try:
+        args = _PARSER.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error (2) or the help (0)
+        return exc.code
     inputs = _Inputs()
     try:
         cert = _RUNNERS[args.verb](args, inputs)

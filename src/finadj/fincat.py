@@ -12,6 +12,7 @@ inputs always produce byte-equal outputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -110,7 +111,8 @@ class FinCategory:
 
     `compose_table[(g, f)]` is g after f, defined exactly when
     dst(f) == src(g).  Instances are treated as immutable after
-    construction.
+    construction.  The hom index is built with the value; the inverse
+    table behind `is_iso` and `inverse` is computed on first use.
     """
 
     objects: tuple[str, ...]
@@ -127,6 +129,11 @@ class FinCategory:
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_identity_ids", frozenset(self.identity.values()))
         object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
+
+    @functools.cached_property
+    def _inverse(self) -> dict[str, str]:
+        """Each invertible morphism's inverse, found on the first `is_iso` or
+        `inverse` call: most categories, commas among them, never ask."""
         inverse = {}
         for m in self.morphisms:
             unit_src, unit_dst = self.identity.get(m.src), self.identity.get(m.dst)
@@ -139,7 +146,7 @@ class FinCategory:
                 ):
                     inverse[m.id] = n
                     break
-        object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     # -- basic accessors -------------------------------------------------
 
@@ -198,13 +205,18 @@ class FinCategory:
         }
 
 
-def _check_tables(C: FinCategory) -> dict[str, list[Morphism]]:
-    """The laws of `check_laws` short of associativity: identities, the ends
-    of every morphism and compose entry, a compose entry for every
-    composable pair, and the unit laws.  Returns the morphisms by source.
+def check_laws(C: FinCategory) -> None:
+    """Re-assert the category laws on an already built value.
 
-    The tables are read directly; an index into the compose table is safe
-    once the composable-pair check has passed.
+    Checks, in this order: every object has an identity endomorphism, no
+    identity is declared for an unknown object, every morphism has known
+    ends, every compose entry names known, composable morphisms and has the
+    right ends, every composable pair has an entry, the unit laws, and
+    associativity over the composable triples.  Raises the matching error
+    on the first violated law.  Used after every internal construction, so
+    nothing depends on a constructor being right.  `category_over` does not
+    call it: its construction guarantees most of these laws, and it checks
+    the rest itself (see there).
     """
     mor, table, identity, objects = C._mor, C.compose_table, C.identity, C._obj_index
     for x in C.objects:
@@ -237,25 +249,12 @@ def _check_tables(C: FinCategory) -> dict[str, list[Morphism]]:
         for g in out.get(f.dst, ()):
             if (g.id, f.id) not in table:
                 raise MissingComposite(f"no compose entry for composable pair ({g.id}, {f.id})")
+    # every index below is safe once the composable-pair check has passed
     for m in C.morphisms:
         if table[(m.id, identity[m.src])] != m.id:
             raise IdentityViolation(f"{m.id} o id_{m.src} != {m.id}")
         if table[(identity[m.dst], m.id)] != m.id:
             raise IdentityViolation(f"id_{m.dst} o {m.id} != {m.id}")
-    return out
-
-
-def check_laws(C: FinCategory) -> None:
-    """Re-assert the category laws on an already built value.
-
-    Raises the matching error on the first violated law.  Used after every
-    internal construction so nothing depends on a constructor being right.
-    Associativity costs one pass over the composable triples.  Only
-    `category_over` skips that pass: its categories inherit associativity
-    from their base through a faithful, checked projection (see there).
-    """
-    out = _check_tables(C)
-    table = C.compose_table
     for f in C.morphisms:
         for g in out.get(f.dst, ()):
             gf = table[(g.id, f.id)]
@@ -294,17 +293,31 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     identity of o is the lift of the identity of over[o].  Comma categories
     and inflations are built this way.
 
-    D must satisfy the category laws.  A lift whose phi is not a morphism
-    of D from over[o] to over[o2] raises NotFunctorial naming the lift.
-    Then the laws of `check_laws` short of associativity, the functor laws
-    of the projection P and the faithfulness of P are checked, so lifts
-    that are not closed under composition, miss an identity or repeat a
-    lift raise a CategoryError.  Associativity follows without visiting
-    composable triples: for composable lifts f, g, h the composites
-    h o (g o f) and (h o g) o f are parallel, as the ends of every compose
-    entry are checked; P sends them to Ph o (Pg o Pf) and (Ph o Pg) o Pf,
-    which are equal because D is associative; and a faithful P sends no two
-    parallel morphisms to one image.
+    Each rejection is a CategoryError, checked in this order, in
+    O(objects + lifts) beyond building the table: a lift whose phi is not a
+    morphism of D from over[o] to over[o2] (NotFunctorial naming the lift);
+    composable lifts whose composite in D has no lift (MissingComposite);
+    an object without the lift of its identity, then a lift that breaks a
+    unit law (IdentityViolation, as `check_laws` words them); an object
+    over no object of D (NotFunctorial, as `check_functor_laws` words it);
+    and a name shared by two lifts (NotFunctorial): a repeated lift, which
+    would make the projection P unfaithful, or two lifts whose names
+    collide.  Only a D that breaks its own laws passes the first check and
+    fails the unit laws or the object check.
+
+    The other laws of `check_laws` and `check_functor_laws` hold by
+    construction, for any D, so neither is called.  Once names are
+    distinct, a name is one lift.  The entry for a composable pair (n, m)
+    is the lift of D.compose(Pn, Pm) from the source of m to the target of
+    n, so its ends are right, and P sends it to the composite of Pn and Pm.
+    The table has one entry for each composable pair and no other key.
+    Every lift has its ends among the objects, and P sends the identity of
+    o to the identity of over[o] and each lift to a morphism of D with the
+    right ends.  Associativity follows from D's, with no composable triple
+    visited: for composable lifts f, g, h the composites h o (g o f) and
+    (h o g) o f are parallel; P sends them to Ph o (Pg o Pf) and
+    (Ph o Pg) o Pf, which are equal when D is associative; and a faithful
+    P sends no two parallel lifts to one morphism.
     """
     lifts = [(f"({phi}):{o}>{o2}", phi, o, o2) for phi, o, o2 in arrows]
     for m, phi, o, o2 in lifts:
@@ -325,18 +338,26 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
             if gf is None:
                 raise MissingComposite(f"no lift of {psi} o {phi} from {o!r} to {o3!r}")
             compose[(n, m)] = gf
-    identity = {o: name.get((D.identity.get(x), o, o)) for o, x in over.items()}
-    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose, check=False)
-    _check_tables(base)
-    projection = FinFunctor(base, D, dict(over), {m: phi for m, phi, _, _ in lifts})
-    check_functor_laws(projection)
+    identity = {}
+    for o, x in over.items():
+        identity[o] = name.get((D.identity.get(x), o, o))
+        if identity[o] is None:
+            raise IdentityViolation(f"object {o!r} has no identity morphism")
+    for m, _, o, o2 in lifts:
+        if compose[(m, identity[o])] != m:
+            raise IdentityViolation(f"{m} o id_{o} != {m}")
+        if compose[(identity[o2], m)] != m:
+            raise IdentityViolation(f"id_{o2} o {m} != {m}")
+    for o, x in over.items():
+        if not D.has_object(x):
+            raise NotFunctorial(f"object {o!r} has no valid image")
     seen = set()
-    for m in base.morphisms:
-        key = (m.src, m.dst, projection.mor_map[m.id])
-        if key in seen:
-            raise NotFunctorial(f"the projection is not faithful: lift {m.id} occurs twice")
-        seen.add(key)
-    return projection
+    for m, _, _, _ in lifts:
+        if m in seen:
+            raise NotFunctorial(f"the projection is not faithful: lift {m} occurs twice")
+        seen.add(m)
+    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose, check=False)
+    return FinFunctor(base, D, dict(over), {m: phi for m, phi, _, _ in lifts})
 
 
 def validate_category(

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from finadj import corpus, fincat
+from finadj import corpus, fincat, sweeps
 from finadj.adjoint import (
     AdjunctionCertificate,
     OracleBoundExceeded,
@@ -83,6 +83,41 @@ def test_commas_are_pinned():
                 digest.update(json.dumps([comma.base.to_dict(), comma.pairs]).encode())
     assert len(functors) == 525
     assert digest.hexdigest() == COMMA_DIGEST
+
+
+# sha256 of gaft_decide(G).to_json_dict() for every G below, one JSON
+# document per line: inputs past the oracle's bounds that no golden digest
+# reaches, so a change to the comma path shows every certificate byte.
+DECIDE_DIGEST = "cab0be0721c7e1a1886d05feaa1a10b16767964723ed6d47c8c91fe4d01e292e"
+
+
+def _chain(n):
+    objs = [str(i) for i in range(n)]
+    return corpus.poset_category(objs, [(objs[i], objs[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+def test_gaft_certificates_past_the_oracle_are_pinned():
+    functors = [
+        sweeps.inflate(C, [copies(j) for j in range(len(C.objects))])
+        for C in CATS.values()
+        for copies in (lambda j: 1, lambda j: 2, lambda j: 1 + j % 2)
+    ]
+    for m, n in ((5, 3), (6, 6), (7, 8), (8, 5)):
+        # onto and top to top, top below top (no left adjoint), all but top to the bottom
+        for values in (
+            [i * (n - 1) // (m - 1) for i in range(m)],
+            [min(i, n - 2) for i in range(m)],
+            [0] * (m - 1) + [n - 1],
+        ):
+            functors.append(corpus.monotone_functor(_chain(m), _chain(n), {str(i): str(v) for i, v in enumerate(values)}))
+    digest = hashlib.sha256()
+    verdicts = []
+    for G in functors:
+        body = gaft_decide(G).to_json_dict()
+        verdicts.append(body["verdict"])
+        digest.update(json.dumps(body).encode() + b"\n")
+    assert (len(functors), verdicts.count("exists")) == (54, 50)
+    assert digest.hexdigest() == DECIDE_DIGEST
 
 
 def test_comma_duality_on_curated_corpus():
@@ -300,6 +335,35 @@ def test_the_comma_decision_never_runs_the_shared_search(monkeypatch):
         gaft_decide(G)
     with pytest.raises(AssertionError, match="fincat.search"):
         brute_force_left_adjoint(curated[0][1])
+
+
+def test_the_comma_decision_never_rechecks_a_comma(monkeypatch):
+    from finadj import adjoint
+
+    checked = []  # every category that check_laws or check_functor_laws saw
+    for law in ("check_laws", "check_functor_laws"):
+        shared = getattr(fincat, law)
+
+        def recording(x, shared=shared):
+            checked.extend((x.source, x.target) if isinstance(x, fincat.FinFunctor) else (x,))
+            return shared(x)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "finadj" and getattr(module, law, None) is shared:
+                monkeypatch.setattr(module, law, recording)
+    commas = []
+
+    def built(G, c):
+        commas.append(comma_under(G, c))
+        return commas[-1]
+
+    monkeypatch.setattr(adjoint, "comma_under", built)
+    for _, G in corpus.curated_oracle_functors():
+        for c in G.target.objects:
+            built(G, c)
+        gaft_decide(G)
+    assert commas and checked  # construct_left_adjoint still checks the adjoint it builds
+    assert not any(C is comma.base for C in checked for comma in commas)
 
 
 def test_empty_target_category_is_handled():

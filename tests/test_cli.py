@@ -140,6 +140,26 @@ def test_negative_set_size_is_a_usage_error(files, capsys):
     assert captured.out == "" and "--max-set-size" in captured.err
 
 
+@pytest.mark.parametrize(
+    "verb, flag, value",
+    [
+        ("validate --category chain3.json", "--closure-bound", "-1"),
+        ("tau1 --sset boundary2.json", "--closure-bound", "-5"),
+        ("gaft --functor g.json", "--closure-bound", "ten"),
+        ("adjoint --functor g.json", "--oracle-bounds", "-1,-1"),
+        ("adjoint --functor g.json", "--oracle-bounds", "4,-1"),
+        ("corpus posets4", "--oracle-bounds", "4"),
+        ("brown --check exhaustive --category two.json", "--max-set-size", "-3"),
+    ],
+)
+def test_bounds_must_be_non_negative_integers(files, capsys, verb, flag, value):
+    _, paths, _ = files
+    argv = [paths.get(word, word) for word in verb.split()] + [f"{flag}={value}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"argument {flag}: expected " in captured.err
+
+
 def test_unwritable_out_path_exits_two(files, capsys):
     tmp_path, paths, _ = files
     target = tmp_path / "no_such_dir" / "x.json"
@@ -227,10 +247,7 @@ def _cli_mix_argvs(folder: Path, monkeypatch) -> list[list[str]]:
 def _captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = run(argv)
-        except SystemExit as exc:  # argparse reports usage errors this way
-            code = exc.code
+        code = run(argv)
     return code, out.getvalue(), err.getvalue()
 
 

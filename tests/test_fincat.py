@@ -472,13 +472,49 @@ def test_category_over_all_lifts_is_a_copy_with_a_faithful_projection():
 
 
 def test_category_over_rejects_lifts_not_closed_under_composition():
-    with pytest.raises(MissingComposite):
+    with pytest.raises(MissingComposite, match=re.escape("no lift of 1<2 o 0<1 from 'a' to 'c'")):
         category_over(*_chain3_lifts(("0<2", "a", "c")))
 
 
 def test_category_over_rejects_a_missing_identity_lift():
-    with pytest.raises(IdentityViolation):
+    with pytest.raises(IdentityViolation, match="object 'c' has no identity morphism"):
         category_over(*_chain3_lifts(("id_2", "c", "c")))
+
+
+def _lawless(C, compose=(), identity=(), morphisms=()):
+    """C with compose entries and identities overwritten and morphisms
+    added, and no law checked."""
+    return FinCategory(
+        C.objects,
+        C.morphisms + tuple(Morphism(*m) for m in morphisms),
+        {**C.identity, **dict(identity)},
+        {**C.compose_table, **dict(compose)},
+    )
+
+
+# not a category: id_9 is the identity of "9", which is no object
+WITH_9 = {"identity": [("9", "id_9")], "morphisms": [("id_9", "9", "9")], "compose": [(("id_9", "id_9"), "id_9")]}
+
+
+@pytest.mark.parametrize(
+    "broken, dropped, error, message",
+    [
+        ([(("f", "id_a"), "g")], [("id_b", "b", "b")], IdentityViolation, "object 'b' has no identity morphism"),
+        ([(("f", "id_a"), "g")], [], IdentityViolation, "(f):a>b o id_a != (f):a>b"),
+        ([(("id_b", "f"), "g")], [], IdentityViolation, "id_b o (f):a>b != (f):a>b"),
+        ([], [], NotFunctorial, "object 'z' has no valid image"),
+    ],
+    ids=["identities", "right unit law", "left unit law", "object images"],
+)
+def test_category_over_checks_identities_then_unit_laws_then_object_images(broken, dropped, error, message):
+    # D breaks its laws: "z" lies over "9", and in the first three cases D
+    # composes f with an identity to g.  Every lift lies over its ends and
+    # every composite has a lift, so only these checks can see the flaws.
+    D = _lawless(CATS["pp"], **WITH_9 | {"compose": WITH_9["compose"] + broken})
+    over = {"a": "a", "b": "b", "z": "9"}
+    arrows = [(m, o, o2) for o in over for o2 in over for m in D.hom(over[o], over[o2])]
+    with pytest.raises(error, match=re.escape(message)):
+        category_over(D, over, [a for a in arrows if a not in dropped])
 
 
 @pytest.mark.parametrize(
@@ -500,14 +536,9 @@ def test_category_over_rejects_a_repeated_lift_as_unfaithful():
 
 def test_category_over_checks_that_its_projection_is_a_functor():
     # not a category: an identity on "9", which is not among the objects.
-    # Every lift lies over its ends, so only the functor laws of the
-    # projection see that "a" lies over no object.
-    D = FinCategory(
-        ("0",),
-        (Morphism("id_0", "0", "0"), Morphism("id_9", "9", "9")),
-        {"0": "id_0", "9": "id_9"},
-        {("id_0", "id_0"): "id_0", ("id_9", "id_9"): "id_9"},
-    )
+    # Every lift lies over its ends, so only the object check of the
+    # projection sees that "a" lies over no object.
+    D = _lawless(CATS["one"], **WITH_9)
     with pytest.raises(NotFunctorial, match="object 'a' has no valid image"):
         category_over(D, {"a": "9"}, [("id_9", "a", "a")])
 
@@ -519,11 +550,15 @@ def test_category_over_rejects_objects_over_nothing():
 
 
 def _closed(D, over, arrows):
-    """`arrows` with every identity lift and every composite of lifts added."""
+    """`arrows` with every identity lift and every composite of lifts that
+    D defines added."""
     lifts = set(arrows) | {(D.id_of(x), o, o) for o, x in over.items() if D.has_object(x)}
     while True:
         new = {
-            (D.compose(psi, phi), o, o3) for phi, o, o2 in lifts for psi, p, o3 in lifts if p == o2
+            (D.compose(psi, phi), o, o3)
+            for phi, o, o2 in lifts
+            for psi, p, o3 in lifts
+            if p == o2 and (psi, phi) in D.compose_table
         } - lifts
         if not new:
             return lifts
@@ -535,10 +570,24 @@ def _lift_problems(draw):
     """A category D (named, or the opposite of one), objects over D's objects
     and a list of lifts: any subset of the lifts, or more often its closure,
     then perhaps with a stray lift, a repeated lift, one lift dropped or an
-    object over "9", which is no object of D."""
+    object over "9", which is no object of D.  Some draws break D's laws
+    first: one compose entry with an identity factor is overwritten, or an
+    identity is declared for "9", as a morphism of D or as a new id_9 on
+    "9"; then the object over "9" comes with the lift of that identity."""
     D = CATS[draw(st.sampled_from(sorted(CATS)))]
     if draw(st.booleans()):
         D = opposite(D)
+    flaw = draw(st.sampled_from(["none", "none", "unit", "identity"]))
+    units = [(g, f) for g, f in D.compose_table if D.is_identity(g) or D.is_identity(f)]
+    if flaw == "unit" and units and len(D.morphisms) > 1:
+        g, f = draw(st.sampled_from(units))
+        right = D.compose(g, f)
+        wrong = [m for m in D.hom(D.src(f), D.dst(g)) if m != right]  # parallel, so the lookup finds a lift
+        wrong = wrong or [m for m in D.morphism_ids() if m != right]
+        D = _lawless(D, compose=[((g, f), draw(st.sampled_from(wrong)))])
+    elif flaw == "identity":
+        unit = "id_9" if draw(st.booleans()) or not D.morphisms else draw(st.sampled_from(D.morphism_ids()))
+        D = _lawless(D, **WITH_9) if unit == "id_9" else _lawless(D, identity=[("9", unit)])
     objects = draw(st.lists(st.sampled_from(D.objects), min_size=1, max_size=4)) if D.objects else []
     over = {f"o{i}": x for i, x in enumerate(objects)}
     every = [(m, o, o2) for o in over for o2 in over for m in D.hom(over[o], over[o2])]
@@ -555,6 +604,8 @@ def _lift_problems(draw):
         arrows.pop(draw(st.integers(0, len(arrows) - 1)))
     elif change == "foreign":
         over["zz"] = "9"
+        if "9" in D.identity:
+            arrows.append((D.identity["9"], "zz", "zz"))
     return D, over, draw(st.permutations(arrows))
 
 
