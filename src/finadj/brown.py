@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from . import limits
 from .fincat import (
@@ -101,6 +101,32 @@ def hom_functor(C: FinCategory, a: str) -> SetFunctor:
     return SetFunctor(C, on_objects, on_morphisms)
 
 
+def _cocones(C: FinCategory, kind: str) -> Iterator[tuple[tuple[str, str], list[limits.Cone]]]:
+    """Each pair of objects of C with its coproduct cocones (`kind`
+    "products"), or each span with its pushout cocones ("pullbacks"): the
+    limits of opposite(C), in `limits._limit_instances` order.
+
+    The table is kept in C's instance dictionary, as
+    `functools.cached_property` keeps `FinCategory._inverse`, so every check
+    against C reads the cocones one computation found.  It is filled one
+    entry at a time, only as far as a check reads.  Both checks raise at an
+    entry without cocones, so no colimit past an absent one is computed.
+    """
+    table = vars(C).get(f"_brown_{kind}")
+    if table is None:
+        Cop = opposite(C)
+        pending = ((data, limits.limit(Cop, d)) for _, data, d in limits._limit_instances(Cop, kind))
+        table = vars(C)[f"_brown_{kind}"] = ([], pending)
+    read, pending = table
+    for i in itertools.count():
+        if i == len(read):
+            entry = next(pending, None)
+            if entry is None:
+                return
+            read.append(entry)
+        yield read[i]
+
+
 @dataclass(frozen=True)
 class ConditionReport:
     ok: bool
@@ -119,9 +145,7 @@ def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
             return ConditionReport(
                 False, {"family": [], "reason": f"F({i}) has {len(F.at(i))} elements"}
             )
-    Cop = opposite(C)
-    for _, (x, y), diagram in limits._limit_instances(Cop, "products"):
-        cocones = limits.limit(Cop, diagram)
+    for (x, y), cocones in _cocones(C, "products"):
         if not cocones:
             raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
         for cc in cocones:
@@ -147,9 +171,7 @@ def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
     """Every pushout square must map to a weak pullback: the canonical map
     to the fiber product of sets must be surjective.  A pushout is a
     pullback in the opposite."""
-    Cop = opposite(C)
-    for _, (f, g), diagram in limits._limit_instances(Cop, "pullbacks"):
-        pos = limits.limit(Cop, diagram)
+    for (f, g), pos in _cocones(C, "pullbacks"):
         if not pos:
             raise PushoutAbsent(f"no pushout of the span ({f!r}, {g!r})")
         for cc in pos:

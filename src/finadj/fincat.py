@@ -289,9 +289,10 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
 
     Objects are the keys o of `over`, each lying over the object over[o] of
     D.  Morphisms are the lifts (phi, o, o2) of morphisms phi of D, named
-    "(phi):o>o2", and they compose as their images compose in D.  The
-    identity of o is the lift of the identity of over[o].  Comma categories
-    and inflations are built this way.
+    "(phi):o>o2" with each \\, > and : in o and o2 escaped by a backslash,
+    so no two lifts share a name; they compose as their images compose in
+    D.  The identity of o is the lift of the identity of over[o].  Comma
+    categories and inflations are built this way.
 
     Each rejection is a CategoryError, checked in this order, in
     O(objects + lifts) beyond building the table: a lift whose phi is not a
@@ -300,14 +301,13 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     an object without the lift of its identity, then a lift that breaks a
     unit law (IdentityViolation, as `check_laws` words them); an object
     over no object of D (NotFunctorial, as `check_functor_laws` words it);
-    and a name shared by two lifts (NotFunctorial): a repeated lift, which
-    would make the projection P unfaithful, or two lifts whose names
-    collide.  Only a D that breaks its own laws passes the first check and
-    fails the unit laws or the object check.
+    and a repeated lift (NotFunctorial), which would make the projection P
+    unfaithful.  Only a D that breaks its own laws passes the first check
+    and fails the unit laws or the object check.
 
     The other laws of `check_laws` and `check_functor_laws` hold by
-    construction, for any D, so neither is called.  Once names are
-    distinct, a name is one lift.  The entry for a composable pair (n, m)
+    construction, for any D, so neither is called.  Once no lift repeats,
+    a name is one lift.  The entry for a composable pair (n, m)
     is the lift of D.compose(Pn, Pm) from the source of m to the target of
     n, so its ends are right, and P sends it to the composite of Pn and Pm.
     The table has one entry for each composable pair and no other key.
@@ -319,7 +319,9 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     (Ph o Pg) o Pf, which are equal when D is associative; and a faithful
     P sends no two parallel lifts to one morphism.
     """
-    lifts = [(f"({phi}):{o}>{o2}", phi, o, o2) for phi, o, o2 in arrows]
+    end = {o: o.replace("\\", "\\\\").replace(">", "\\>").replace(":", "\\:") for o in over}
+    # an end outside `over` only names a lift that the next loop rejects
+    lifts = [(f"({phi}):{end.get(o, o)}>{end.get(o2, o2)}", phi, o, o2) for phi, o, o2 in arrows]
     for m, phi, o, o2 in lifts:
         below = D._mor.get(phi)
         if below is None or (below.src, below.dst) != (over.get(o), over.get(o2)):

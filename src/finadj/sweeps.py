@@ -207,15 +207,21 @@ def reflection_pool() -> list[tuple[str, FinCategory]]:
 
 
 def generate_reflection_functors(seed: int = 0, count: int = 200):
-    """Seeded stream of functors whose profiles meet all four hypotheses."""
+    """Seeded stream of functors whose profiles meet all four hypotheses.
+    Every draw is named and listed, but a repeated draw lists the functor
+    value its first draw built, so each is inflated once."""
     rng = random.Random(seed)
     pool = reflection_pool()
+    built: dict[tuple[int, tuple[int, ...]], FinFunctor] = {}
     out = []
     while len(out) < count:
-        name, C = pool[rng.randrange(len(pool))]
+        i = rng.randrange(len(pool))
+        name, C = pool[i]
         copies = [rng.randint(1, 3) for _ in C.objects]
-        F = inflate(C, copies)
-        out.append((f"{name}x{''.join(map(str, copies))}#{len(out)}", F))
+        key = (i, tuple(copies))
+        if key not in built:
+            built[key] = inflate(C, copies)
+        out.append((f"{name}x{''.join(map(str, copies))}#{len(out)}", built[key]))
     return out
 
 
@@ -263,9 +269,12 @@ def check_initial_reflection(seed: int = 0) -> Tally:
     which misses one of them."""
     t = Tally()
     generated = generate_reflection_functors(seed=seed, count=200)
+    reports = {}  # by functor value, which repeated draws share
     qualifying = 0
     for name, F in generated:
-        rep = enriched.initial_reflection_check(F)
+        if id(F) not in reports:
+            reports[id(F)] = enriched.initial_reflection_check(F)
+        rep = reports[id(F)]
         if not rep.applies:
             continue
         qualifying += 1

@@ -212,6 +212,26 @@ def test_verify_adjunction_flags_mutated_unit():
     assert not out.ok and out.violation is not None
 
 
+# sha256 of the oracle's exact answers: compact JSON (separators "," and
+# ":") of one row [label, [[obj_map items, mor_map items, unit items], ...]]
+# per instance, the pairs in the oracle's order; a pruned oracle must keep it
+ORACLE_PAIRS_DIGEST = "1af9806b9903bdd8c451db03a6856ec9d1393e8aa0d15e5178ca8feaf818904b"
+
+
+def test_oracle_pairs_are_pinned():
+    instances = corpus.curated_oracle_functors()
+    posets = corpus.posets_up_to(3)
+    for i, P in enumerate(posets):
+        for j, Q in enumerate(posets):
+            instances += [(f"poset{i}->poset{j}#{k}", G) for k, G in enumerate(corpus.monotone_maps(P, Q))]
+    rows = [
+        [label, [[list(F.obj_map.items()), list(F.mor_map.items()), list(u.items())] for F, u in brute_force_left_adjoint(G, 4, 16).pairs]]
+        for label, G in instances
+    ]
+    assert (len(rows), sum(len(pairs) for _, pairs in rows)) == (511, 78)
+    assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == ORACLE_PAIRS_DIGEST
+
+
 def test_brute_force_identity_adjoints_are_naturally_isomorphic():
     C = CATS["chain3"]
     res = brute_force_left_adjoint(identity_functor(C))

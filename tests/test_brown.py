@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from finadj import corpus
+from finadj import brown, corpus, limits, sweeps
 from finadj.brown import (
     ColimitAbsent,
     CoproductAbsent,
@@ -20,7 +20,7 @@ from finadj.brown import (
     validate_set_functor,
     weak_generators,
 )
-from finadj.fincat import identity_functor, opposite, validate_category
+from finadj.fincat import CategoryError, FinCategory, identity_functor, opposite, validate_category
 from finadj.limits import cospan_diagram, initial_objects, limit, pair_diagram
 
 CATS = corpus.categories()
@@ -334,3 +334,62 @@ def test_set_functor_validation_catches_broken_tables():
                 "on_morphisms": {"id_0": {"a": "a"}, "id_1": {"b": "b"}, "0<1": {"b": "zzz"}},
             },
         )
+
+
+# -- the colimit table each category keeps ----------------------------------
+
+
+def _outcome(check, C, F):
+    """The check's report, or the type and message of what it raised."""
+    try:
+        return check(C, F)
+    except CategoryError as exc:
+        return type(exc), str(exc)
+
+
+def test_conditions_read_a_filled_table_as_a_fresh_one(monkeypatch):
+    enumerated = []
+
+    def recording(C, raw):
+        F = validate_set_functor(C, raw)
+        enumerated.append(F)
+        return F
+
+    monkeypatch.setattr(brown, "validate_set_functor", recording)
+    for name in ("two", "chain3"):
+        brown.exhaustive_representability_check(CATS[name], 2)
+    monkeypatch.undo()
+    cases = [(F.base, F) for F in enumerated]
+    cases += [(C, hom_functor(C, a)) for _, C in sweeps.sweep_corpus_categories() for a in C.objects]
+    two = corpus.two()
+    cases += [(two, corpus.b1_failing_on_two()), (two, corpus.b2_failing_on_two())]
+    # in a shuffled order, each check on a shared value reads what earlier
+    # checks left in its tables: a part, all of one, or up to a missing colimit
+    random.Random(0).shuffle(cases)
+    for C, F in cases:
+        fresh = FinCategory(C.objects, C.morphisms, dict(C.identity), dict(C.compose_table))
+        for check in (check_B1, check_B2):
+            assert _outcome(check, C, F) == _outcome(check, fresh, F)
+    assert len(enumerated) == 58 and len(cases) == 174
+
+
+def test_brown_necessity_computes_each_colimit_once(monkeypatch):
+    # a limit is charged to the category value whose opposite it is taken in
+    made_from, calls = {}, []
+    opposite_, limit_ = brown.opposite, limits.limit
+
+    def recording_opposite(C):
+        Cop = opposite_(C)
+        made_from[id(Cop)] = (C, Cop)  # both stay alive, so no id is reused
+        return Cop
+
+    def recording_limit(Cop, diagram, **kw):
+        C = made_from[id(Cop)][0]
+        calls.append((id(C), tuple(diagram.obj_map.items()), tuple(diagram.mor_map.items())))
+        return limit_(Cop, diagram, **kw)
+
+    monkeypatch.setattr(brown, "opposite", recording_opposite)
+    monkeypatch.setattr(limits, "limit", recording_limit)
+    tally = sweeps.check_brown_necessity(sweeps.sweep_corpus_categories())
+    assert not tally.failures and tally.details["yoneda_objects"] > 0
+    assert calls and max(Counter(calls).values()) == 1

@@ -1,9 +1,10 @@
 import copy
 import re
+from collections import Counter
 
 import pytest
 
-from finadj import corpus
+from finadj import corpus, enriched, sweeps
 from finadj.adjoint import gaft_decide
 from finadj.enriched import (
     GpdFunctor,
@@ -516,3 +517,23 @@ def test_single_entry_mutants_are_rejected_unless_pinned():
                 accepted.add(f"{name} {label}")
     assert count == 2464
     assert accepted == ACCEPTED_MUTANTS
+
+
+def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
+    draws = {name.split("#")[0] for name, _ in sweeps.generate_reflection_functors(seed=0)}
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sweeps, "inflate", counted(sweeps.inflate))
+    monkeypatch.setattr(enriched, "initial_reflection_check", counted(enriched.initial_reflection_check))
+    tally = sweeps.check_initial_reflection(seed=0)
+    assert tally.details == {"reflection_generated": 200, "reflection_qualifying": 200}
+    assert tally.checks == 201 and not tally.failures
+    # 124 distinct draws of 200; one more check for the pz2 comparison functor
+    assert len(draws) == 124
+    assert calls == {"inflate": 124, "initial_reflection_check": 125}

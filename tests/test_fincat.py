@@ -534,6 +534,28 @@ def test_category_over_rejects_a_repeated_lift_as_unfaithful():
         category_over(C, over, arrows + [("0<1", "a", "b")])
 
 
+def test_category_over_names_lifts_injectively():
+    # unescaped, (id_*, p, q>r) and (id_*, p>q, r) would both be (id_*):p>q>r
+    C = CATS["idem"]
+    over = {o: "*" for o in ("p", "q>r", "p>q", "r")}
+    arrows = [(m, o, o2) for o in over for o2 in over for m in C.morphism_ids()]
+    P = category_over(C, over, arrows)
+    assert len(P.source.morphisms) == 32
+    assert P.source.hom("p", "q>r") == ("(id_*):p>q\\>r", "(p):p>q\\>r")
+    assert P.source.hom("p>q", "r") == ("(id_*):p\\>q>r", "(p):p\\>q>r")
+    with pytest.raises(NotFunctorial, match=re.escape("not faithful: lift (p):p>q\\>r occurs twice")):
+        category_over(C, over, arrows + [("p", "p", "q>r")])
+    # the idempotent category again, its identity renamed: unescaped,
+    # (e, p):q, r) and (e):p, q, r) would both be (e):p):q>r
+    D = validate_category(
+        {"objects": ["*"], "morphisms": [{"id": i, "src": "*", "dst": "*"} for i in ("e):p", "e")],
+         "identities": {"*": "e):p"}, "compose": [["e", "e", "e"]]}
+    )
+    over = {o: "*" for o in ("q", "p):q", "r")}
+    arrows = [(m, o, o2) for o in over for o2 in over for m in D.morphism_ids()]
+    assert len(category_over(D, over, arrows).source.morphisms) == 18
+
+
 def test_category_over_checks_that_its_projection_is_a_functor():
     # not a category: an identity on "9", which is not among the objects.
     # Every lift lies over its ends, so only the object check of the
@@ -570,7 +592,8 @@ def _lift_problems(draw):
     """A category D (named, or the opposite of one), objects over D's objects
     and a list of lifts: any subset of the lifts, or more often its closure,
     then perhaps with a stray lift, a repeated lift, one lift dropped or an
-    object over "9", which is no object of D.  Some draws break D's laws
+    object over "9", which is no object of D.  Some draws name objects
+    with the characters that lift names escape.  Some draws break D's laws
     first: one compose entry with an identity factor is overwritten, or an
     identity is declared for "9", as a morphism of D or as a new id_9 on
     "9"; then the object over "9" comes with the lift of that identity."""
@@ -589,7 +612,8 @@ def _lift_problems(draw):
         unit = "id_9" if draw(st.booleans()) or not D.morphisms else draw(st.sampled_from(D.morphism_ids()))
         D = _lawless(D, **WITH_9) if unit == "id_9" else _lawless(D, identity=[("9", unit)])
     objects = draw(st.lists(st.sampled_from(D.objects), min_size=1, max_size=4)) if D.objects else []
-    over = {f"o{i}": x for i, x in enumerate(objects)}
+    names = draw(st.sampled_from([("o0", "o1", "o2", "o3"), ("p", "q>r", "p>q", "r"), ("a:b", "a", "b\\", ":b\\>")]))
+    over = dict(zip(names, objects))
     every = [(m, o, o2) for o in over for o2 in over for m in D.hom(over[o], over[o2])]
     arrows = draw(st.lists(st.sampled_from(every), unique=True)) if every else []
     if draw(st.integers(0, 2)):
@@ -613,7 +637,8 @@ def _category_over_reference(D, over, arrows):
     """`category_over` by the definitions: the same table, then the full
     category laws, the functor laws and faithfulness hom set by hom set."""
     def name(phi, o, o2):
-        return f"({phi}):{o}>{o2}"
+        escape = lambda o: o.replace("\\", "\\\\").replace(">", "\\>").replace(":", "\\:")
+        return f"({phi}):{escape(o)}>{escape(o2)}"
 
     lifts = set(arrows)
     compose = {
