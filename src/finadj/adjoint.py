@@ -110,16 +110,26 @@ class CoinitialityRecord:
     has_initial: bool
 
 
+def _first_components(objects) -> dict[str, str]:
+    """Each object with every \\ and , in it escaped by a backslash.  A
+    comma object (x, y) is named "(x,y)" from these, so the first
+    unescaped comma ends x and no two pairs share a name; a name with
+    neither character is unchanged."""
+    return {x: x.replace("\\", "\\\\").replace(",", "\\,") for x in objects}
+
+
 def comma_under(G: FinFunctor, c: str) -> Comma:
     """The comma category of morphisms out of c into values of G.
 
-    Objects are pairs (d, u: c -> G d); a morphism (d, u) -> (d', u') is a
-    morphism phi: d -> d' of the source of G with G(phi) o u == u'.
+    Objects are pairs (d, u: c -> G d), named "(d,u)" with each \\ and , in
+    d escaped; a morphism (d, u) -> (d', u') is a morphism phi: d -> d' of
+    the source of G with G(phi) o u == u'.
     """
     D, C = G.source, G.target
     if not C.has_object(c):
         raise UnknownObject(f"{c!r} is not an object of the target")
-    pairs = {f"({d},{u})": (d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])}
+    first = _first_components(D.objects)
+    pairs = {f"({first[d]},{u})": (d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])}
     by_pair = {pair: o for o, pair in pairs.items()}
     arrows = [
         (phi.id, o, by_pair[(phi.dst, C.compose(G.mor_map[phi.id], u))])
@@ -134,14 +144,16 @@ def comma_under(G: FinFunctor, c: str) -> Comma:
 def comma_over(F: FinFunctor, d: str) -> Comma:
     """The comma category of morphisms from values of F into d.
 
-    Objects are pairs (c, v: F c -> d); a morphism (c, v) -> (c', v') is a
-    morphism phi: c -> c' with v' o F(phi) == v.  Dual to `comma_under`
-    through opposite categories, which the tests assert.
+    Objects are pairs (c, v: F c -> d), named "(c,v)" with each \\ and , in
+    c escaped; a morphism (c, v) -> (c', v') is a morphism phi: c -> c'
+    with v' o F(phi) == v.  Dual to `comma_under` through opposite
+    categories, which the tests assert.
     """
     C, D = F.source, F.target
     if not D.has_object(d):
         raise UnknownObject(f"{d!r} is not an object of the target")
-    pairs = {f"({c},{v})": (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
+    first = _first_components(C.objects)
+    pairs = {f"({first[c]},{v})": (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
     arrows = [
         (phi, o, o2)
         for o, (c, v) in pairs.items()
@@ -290,10 +302,20 @@ def brute_force_left_adjoint(
     Candidate functors go from the target of G back to its source, as a
     `search` over object images, morphism images and unit components.  The
     domains prune only what admits no unit: c goes only to a d with
-    hom(c, G d) nonempty, and unit naturality at each nonidentity morphism
-    is checked once its two components are bound.  `verify_adjunction`
-    still checks every complete candidate.  Beyond the configured bounds
-    the oracle refuses to run rather than sample.
+    hom(c, G d) nonempty, so when some c has no such d no unit exists and
+    the oracle returns no pair without searching.  Each morphism is bound
+    right after its ends (`functor_space`), and unit naturality at each
+    nonidentity morphism is checked once its two components are bound.
+    `verify_adjunction` checks every complete candidate once, computing
+    its hom maps itself.  Beyond the configured bounds the oracle refuses
+    to run rather than sample.
+
+    `pairs` lists the adjoints in lexicographic order of their images:
+    object images in the order of G's target objects, then nonidentity
+    morphism images in declared order, then unit components, each value
+    ranked by its position in its domain.  Each `mor_map` lists the
+    identities in object order, then the other morphisms in declared
+    order.
     """
     D, C = G.source, G.target
     if len(C.objects) > max_source_objects:
@@ -305,20 +327,32 @@ def brute_force_left_adjoint(
             f"{len(D.morphisms)} target morphisms exceed the bound {max_target_morphisms}"
         )
     feasible = {c: [d for d in D.objects if C.hom(c, G.obj_map[d])] for c in C.objects}
+    if not all(feasible.values()):
+        return BruteForceResult(False, [])
     domains, constraints = functor_space(C, D, feasible)
     for c in C.objects:
         domains[("u", c)] = lambda a, c=c: C.hom(c, G.obj_map[a[("o", c)]])
-    for m in C.nonidentity():
+    nonidentity = C.nonidentity()
+    for m in nonidentity:
         ends = (("m", m), ("u", C.src(m)), ("u", C.dst(m)))
         constraints.append((ends, lambda fm, us, ut, m=m: C.compose(G.mor_map[fm], us) == C.compose(ut, m)))
+    mor_keys = [C.id_of(c) for c in C.objects] + list(nonidentity)
     found = []
     for a in search(domains, constraints):
-        obj_map = {c: a[("o", c)] for c in C.objects}
-        F = FinFunctor(C, D, obj_map, {m: v for (kind, m), v in a.items() if kind == "m"})
+        F = FinFunctor(C, D, {c: a[("o", c)] for c in C.objects}, {m: a[("m", m)] for m in mor_keys})
         unit = {c: a[("u", c)] for c in C.objects}
-        cert = AdjunctionCertificate(F, G, unit, _record_bijections(F, G, unit))
-        if verify_adjunction(cert).ok:
+        if verify_adjunction(AdjunctionCertificate(F, G, unit, {})).ok:
             found.append((F, unit))
+    if len(found) > 1:
+        # each domain lists its values in declared order, so a value ranks by its declared position
+        rank_d = {d: i for i, d in enumerate(D.objects)}
+        rank_g = {g.id: i for i, g in enumerate(D.morphisms)}
+        rank_u = {u.id: i for i, u in enumerate(C.morphisms)}
+        found.sort(key=lambda pair: (
+            [rank_d[d] for d in pair[0].obj_map.values()],
+            [rank_g[pair[0].mor_map[m]] for m in nonidentity],
+            [rank_u[u] for u in pair[1].values()],
+        ))
     return BruteForceResult(bool(found), found)
 
 

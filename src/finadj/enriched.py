@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import limits
-from .adjoint import GaftResult, comma_under, gaft_decide
+from .adjoint import GaftResult, _first_components, comma_under, gaft_decide
 from .fincat import (
     CategoryError,
     FinCategory,
@@ -482,11 +482,11 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     D, Ccal = G.source, G.target
     if c not in Ccal.objects:
         raise UnknownObject(f"{c!r} is not an object of the target")
-    obj_id = lambda d, u: f"({d},{u})"
+    first = _first_components(D.objects)
     objects, pairs = [], {}
     for d in D.objects:
         for u in Ccal.hom(c, G.obj_map[d]).objects:
-            o = obj_id(d, u)
+            o = f"({first[d]},{u})"
             objects.append(o)
             pairs[o] = (d, u)
 

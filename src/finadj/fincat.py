@@ -697,16 +697,25 @@ def search(domains: Mapping, constraints: Iterable = (), distinct: Iterable = ()
 
 def functor_space(C: FinCategory, D: FinCategory, objects: Mapping | None = None) -> tuple[dict, list]:
     """Domains and constraints whose `search` solutions are the functors
-    C -> D.  The variables are ("o", x) over `objects[x]` (all of D's
-    objects by default), then ("m", m): identities first, forced to the
-    identity of their object's image, then the rest over the hom between
-    the images of their ends.  Only compose entries with no identity factor
-    are constraints; the forced identities meet the others."""
-    domains: dict = {("o", x): D.objects if objects is None else objects[x] for x in C.objects}
-    for x in C.objects:
-        domains[("m", C.id_of(x))] = lambda a, x=x: (D.id_of(a[("o", x)]),)
+    C -> D.  For each object x of C in order, the variables are ("o", x)
+    over `objects[x]` (all of D's objects by default), then ("m", id_x)
+    forced to the identity of x's image, then ("m", m) over the hom
+    between the images of its ends for each nonidentity m whose later end
+    is x, in declared order.  So each morphism is bound right after its
+    ends, and a compose constraint is checked as soon as its three
+    morphisms are bound, before the objects after them.  Only compose
+    entries with no identity factor are constraints; the forced identities
+    meet the others."""
+    pos = C._obj_index
+    after: list[list[Morphism]] = [[] for _ in C.objects]  # nonidentities by their later end
     for m in C.morphisms:
         if not C.is_identity(m.id):
+            after[max(pos[m.src], pos[m.dst])].append(m)
+    domains: dict = {}
+    for x, ms in zip(C.objects, after):
+        domains[("o", x)] = D.objects if objects is None else objects[x]
+        domains[("m", C.id_of(x))] = lambda a, x=x: (D.id_of(a[("o", x)]),)
+        for m in ms:
             domains[("m", m.id)] = lambda a, s=m.src, t=m.dst: D.hom(a[("o", s)], a[("o", t)])
     constraints = [
         ((("m", g), ("m", f), ("m", gf)), lambda g, f, gf: D.compose(g, f) == gf)

@@ -19,7 +19,7 @@ from finadj.adjoint import (
     solution_set_condition,
     verify_adjunction,
 )
-from finadj.fincat import UnknownObject, identity_functor, isomorphic, naturally_isomorphic
+from finadj.fincat import UnknownObject, identity_functor, isomorphic, naturally_isomorphic, opposite_functor
 from finadj.limits import initial_objects, limit, weakly_initial_sets
 
 CATS = corpus.categories()
@@ -230,6 +230,84 @@ def test_oracle_pairs_are_pinned():
     ]
     assert (len(rows), sum(len(pairs) for _, pairs in rows)) == (511, 78)
     assert hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest() == ORACLE_PAIRS_DIGEST
+
+
+def test_oracle_returns_no_pair_without_searching_when_an_object_has_no_unit(monkeypatch):
+    from finadj import adjoint
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle searched")
+
+    monkeypatch.setattr(adjoint, "search", refuse)
+    # hom(y, G *) = hom(y, x) is empty, so no unit exists at y
+    res = brute_force_left_adjoint(corpus.functor(CATS["one"], CATS["disc2"], {"*": "x"}))
+    assert res.exists is False and res.pairs == []
+
+
+def _codiscrete_z2(objects):
+    """The codiscrete groupoid on `objects` with two morphisms (o1, o2, k),
+    k in Z/2, between any two objects, composing by adding k mod 2."""
+    name = lambda o1, o2, k: f"{o1}{o2}{k}"
+    return fincat.build_category(
+        objects,
+        [(name(o1, o2, k), o1, o2) for o1 in objects for o2 in objects for k in (0, 1)],
+        {o: name(o, o, 0) for o in objects},
+        {
+            (name(o2, o3, k2), name(o1, o2, k1)): name(o1, o3, (k1 + k2) % 2)
+            for o1 in objects for o2 in objects for o3 in objects for k1 in (0, 1) for k2 in (0, 1)
+        },
+    )
+
+
+def test_oracle_pairs_come_in_objects_first_lexicographic_order():
+    D, C = _codiscrete_z2(["a", "b"]), _codiscrete_z2(["x", "p", "y"])
+    image = {"a": "x", "b": "p"}
+    G = fincat.FinFunctor(D, C, image, {m.id: f"{image[m.src]}{image[m.dst]}{m.id[2]}" for m in D.morphisms})
+    fincat.check_functor_laws(G)
+    pairs = brute_force_left_adjoint(G).pairs
+    rank_d = {d: i for i, d in enumerate(D.objects)}
+    rank_g = {g.id: i for i, g in enumerate(D.morphisms)}
+    rank_u = {u.id: i for i, u in enumerate(C.morphisms)}
+    keys = [
+        (
+            [rank_d[F.obj_map[c]] for c in C.objects],
+            [rank_g[F.mor_map[m]] for m in C.nonidentity()],
+            [rank_u[unit[c]] for c in C.objects],
+        )
+        for F, unit in pairs
+    ]
+    assert len(pairs) == 64
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(list(F.mor_map) == [C.id_of(c) for c in C.objects] + list(C.nonidentity()) for F, _ in pairs)
+
+
+def _comma_name_clash():
+    """A discrete source a, a,b over a target with b,c: x -> y and c: x -> z:
+    the comma under x has the objects (a, b,c) and (a,b, c)."""
+    D = corpus.poset_category(["a", "a,b"], [])
+    C = fincat.validate_category({
+        "objects": ["x", "y", "z"],
+        "morphisms": [{"id": f"id_{o}", "src": o, "dst": o} for o in "xyz"]
+        + [{"id": "b,c", "src": "x", "dst": "y"}, {"id": "c", "src": "x", "dst": "z"}],
+        "identities": {o: f"id_{o}" for o in "xyz"},
+        "compose": [],
+    })
+    return corpus.functor(D, C, {"a": "y", "a,b": "z"}, {"id_a": "id_y", "id_a,b": "id_z"})
+
+
+def test_comma_objects_are_named_injectively(tmp_path):
+    from finadj.cli import run
+
+    G = _comma_name_clash()
+    comma = comma_under(G, "x")
+    assert comma.pairs == {"(a,b,c)": ("a", "b,c"), "(a\\,b,c)": ("a,b", "c")}
+    assert comma_over(opposite_functor(G), "x").pairs == comma.pairs
+    assert gaft_decide(G).to_json_dict()["verdict"] == "none"
+    assert brute_force_left_adjoint(G).exists is False
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(G.to_dict()), encoding="utf-8")
+    assert run(["gaft", "--functor", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["verdict"] == "none"
 
 
 def test_brute_force_identity_adjoints_are_naturally_isomorphic():

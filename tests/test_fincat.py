@@ -24,6 +24,7 @@ from finadj.fincat import (
     components,
     compose_functors,
     functor_profile,
+    functor_space,
     hom_set,
     identity_functor,
     isomorphic,
@@ -453,6 +454,44 @@ def test_search_with_one_distinct_group_gives_the_permutations():
         keys = [f"x{i}" for i in range(n)]
         found = [tuple(a.values()) for a in search({k: range(n) for k in keys}, distinct=[keys])]
         assert found == list(itertools.permutations(range(n)))
+
+
+@pytest.mark.parametrize("name", sorted(CATS))
+def test_functor_space_binds_each_morphism_right_after_its_ends(name):
+    C = CATS[name]
+    keys = list(functor_space(C, C)[0])
+    pos = {k: i for i, k in enumerate(keys)}
+    for m in C.morphisms:
+        ends = max(pos[("o", m.src)], pos[("o", m.dst)])
+        assert pos[("m", m.id)] > ends
+        # only morphism variables lie between the later end and m
+        assert all(kind == "m" for kind, _ in keys[ends + 1 : pos[("m", m.id)]]), m.id
+
+
+SMALL = ["one", "disc2", "two", "z2", "idem", "iso2", "vee"]
+
+
+@pytest.mark.parametrize("source", SMALL)
+def test_functor_space_solutions_are_the_functors(source):
+    C = CATS[source]
+    for D in (CATS[name] for name in SMALL):
+        domains, constraints = functor_space(C, D)
+        found = [
+            (tuple(a[("o", x)] for x in C.objects), tuple(a[("m", m.id)] for m in C.morphisms))
+            for a in search(domains, constraints)
+        ]
+        reference = []
+        for objs in itertools.product(D.objects, repeat=len(C.objects)):
+            image = dict(zip(C.objects, objs))
+            homs = [D.hom(image[m.src], image[m.dst]) for m in C.morphisms]
+            for mors in itertools.product(*homs):
+                F = FinFunctor(C, D, image, dict(zip(C.morphism_ids(), mors)))
+                try:
+                    check_functor_laws(F)
+                except CategoryError:
+                    continue
+                reference.append((objs, mors))
+        assert sorted(found) == sorted(reference) and len(set(found)) == len(found)
 
 
 def _chain3_lifts(*dropped):
