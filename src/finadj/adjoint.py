@@ -26,6 +26,7 @@ from .fincat import (
     category_over,
     check_functor_laws,
     components,
+    escape,
     functor_space,
     isomorphic,
     opposite,
@@ -57,10 +58,13 @@ class Comma:
 
 @dataclass(frozen=True)
 class AdjunctionCertificate:
+    """A left adjoint F of G and its unit: each u_c: c -> G F c is initial
+    in the comma under c, which is all an adjunction needs.  The hom
+    bijections follow from the unit, and `verify_adjunction` computes them."""
+
     left: FinFunctor
     right: FinFunctor
     unit: dict[str, str]
-    bijections: dict[tuple[str, str], dict[str, str]]
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,25 +114,18 @@ class CoinitialityRecord:
     has_initial: bool
 
 
-def _first_components(objects) -> dict[str, str]:
-    """Each object with every \\ and , in it escaped by a backslash.  A
-    comma object (x, y) is named "(x,y)" from these, so the first
-    unescaped comma ends x and no two pairs share a name; a name with
-    neither character is unchanged."""
-    return {x: x.replace("\\", "\\\\").replace(",", "\\,") for x in objects}
-
-
 def comma_under(G: FinFunctor, c: str) -> Comma:
     """The comma category of morphisms out of c into values of G.
 
     Objects are pairs (d, u: c -> G d), named "(d,u)" with each \\ and , in
-    d escaped; a morphism (d, u) -> (d', u') is a morphism phi: d -> d' of
+    d escaped, so the first unescaped comma ends d and no two pairs share
+    a name; a morphism (d, u) -> (d', u') is a morphism phi: d -> d' of
     the source of G with G(phi) o u == u'.
     """
     D, C = G.source, G.target
     if not C.has_object(c):
         raise UnknownObject(f"{c!r} is not an object of the target")
-    first = _first_components(D.objects)
+    first = {d: escape(d, ",") for d in D.objects}
     pairs = {f"({first[d]},{u})": (d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])}
     by_pair = {pair: o for o, pair in pairs.items()}
     arrows = [
@@ -152,7 +149,7 @@ def comma_over(F: FinFunctor, d: str) -> Comma:
     C, D = F.source, F.target
     if not D.has_object(d):
         raise UnknownObject(f"{d!r} is not an object of the target")
-    first = _first_components(C.objects)
+    first = {c: escape(c, ",") for c in C.objects}
     pairs = {f"({first[c]},{v})": (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
     arrows = [
         (phi, o, o2)
@@ -214,24 +211,16 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
         mor_map[m.id] = arrows[0]
     F = FinFunctor(C, D, obj_map, mor_map)
     check_functor_laws(F)
-    cert = AdjunctionCertificate(F, G, unit, _record_bijections(F, G, unit))
+    cert = AdjunctionCertificate(F, G, unit)
     result = verify_adjunction(cert)
     if not result.ok:
         raise WitnessNotInitial(f"constructed certificate fails verification: {result.violation}")
     return cert
 
 
-def _record_bijections(F: FinFunctor, G: FinFunctor, unit: dict[str, str]):
-    C, D = F.source, F.target
-    return {
-        (c, d): {g: C.compose(G.mor_map[g], unit[c]) for g in D.hom(F.obj_map[c], d)}
-        for c in C.objects
-        for d in D.objects
-    }
-
-
 def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
-    """Exhaustively check unit naturality and every hom bijection."""
+    """Exhaustively check unit naturality and every hom bijection
+    g -> G(g) o u_c from hom(F c, d) to hom(c, G d)."""
     F, G, unit = cert.left, cert.right, cert.unit
     C, D = F.source, F.target
     for c in C.objects:
@@ -247,11 +236,7 @@ def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
             return VerificationResult(False, f"unit naturality fails at {m.id!r}")
     for c in C.objects:
         for d in D.objects:
-            mapping = {g: C.compose(G.mor_map[g], unit[c]) for g in D.hom(F.obj_map[c], d)}
-            recorded = cert.bijections.get((c, d))
-            if recorded is not None and recorded != mapping:
-                return VerificationResult(False, f"recorded bijection at ({c!r}, {d!r}) is stale")
-            values = list(mapping.values())
+            values = [C.compose(G.mor_map[g], unit[c]) for g in D.hom(F.obj_map[c], d)]
             if len(set(values)) != len(values):
                 return VerificationResult(False, f"hom map at ({c!r}, {d!r}) is not injective")
             if set(values) != set(C.hom(c, G.obj_map[d])):
@@ -306,9 +291,8 @@ def brute_force_left_adjoint(
     the oracle returns no pair without searching.  Each morphism is bound
     right after its ends (`functor_space`), and unit naturality at each
     nonidentity morphism is checked once its two components are bound.
-    `verify_adjunction` checks every complete candidate once, computing
-    its hom maps itself.  Beyond the configured bounds the oracle refuses
-    to run rather than sample.
+    `verify_adjunction` checks every complete candidate once.  Beyond the
+    configured bounds the oracle refuses to run rather than sample.
 
     `pairs` lists the adjoints in lexicographic order of their images:
     object images in the order of G's target objects, then nonidentity
@@ -341,7 +325,7 @@ def brute_force_left_adjoint(
     for a in search(domains, constraints):
         F = FinFunctor(C, D, {c: a[("o", c)] for c in C.objects}, {m: a[("m", m)] for m in mor_keys})
         unit = {c: a[("u", c)] for c in C.objects}
-        if verify_adjunction(AdjunctionCertificate(F, G, unit, {})).ok:
+        if verify_adjunction(AdjunctionCertificate(F, G, unit)).ok:
             found.append((F, unit))
     if len(found) > 1:
         # each domain lists its values in declared order, so a value ranks by its declared position

@@ -4,9 +4,11 @@
 contravariant set-valued functor must satisfy: coproducts go to products
 bijectively and pushouts to weak pullbacks surjectively.  Representability
 itself is decided by searching over objects and universal elements, never
-asserted from the two conditions: the sufficiency direction has infinitary
-hypotheses with no finite content, so verdicts always name which side was
-actually computed.
+asserted from the two conditions, so verdicts always name which side was
+actually computed.  On finite input sufficiency is a theorem all the same:
+a finite category with an initial object and binary coproducts is a
+preorder (see `check_B1p_B2p`), and there B1 alone forces F to be
+represented by the join of its support.
 """
 
 from __future__ import annotations
@@ -104,13 +106,14 @@ def hom_functor(C: FinCategory, a: str) -> SetFunctor:
 def _cocones(C: FinCategory, kind: str) -> Iterator[tuple[tuple[str, str], list[limits.Cone]]]:
     """Each pair of objects of C with its coproduct cocones (`kind`
     "products"), or each span with its pushout cocones ("pullbacks"): the
-    limits of opposite(C), in `limits._limit_instances` order.
+    limits of opposite(C), in `limits._limit_instances` order.  B1, B2,
+    B1' and B2' read their source's colimits from it.
 
     The table is kept in C's instance dictionary, as
     `functools.cached_property` keeps `FinCategory._inverse`, so every check
     against C reads the cocones one computation found.  It is filled one
-    entry at a time, only as far as a check reads.  Both checks raise at an
-    entry without cocones, so no colimit past an absent one is computed.
+    entry at a time, only as far as a check reads.  Every check raises at
+    an entry without cocones, so no colimit past an absent one is computed.
     """
     table = vars(C).get(f"_brown_{kind}")
     if table is None:
@@ -271,7 +274,9 @@ def exhaustive_representability_check(C: FinCategory, max_set_size: int = 2) -> 
     Enumerates every contravariant set-valued functor with value sets of at
     most `max_set_size` elements and compares the two conditions against
     the representability search.  Nothing is claimed beyond the enumerated
-    range; the sufficiency direction has no finite-level theorem behind it.
+    range.  Where both conditions can be checked, C is a finite preorder
+    with an initial object and binary coproducts, and there B1 alone forces
+    representability, so `passing_both == representable` is a theorem.
     """
     elements = lambda x, k: tuple(f"{x}#{i}" for i in range(k))
     nonid = C.nonidentity()
@@ -336,15 +341,13 @@ def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
                 False, {"colimit": "empty coproduct", "image": F.obj_map[i]}
             )
     Fop = opposite_functor(F)
-    Cop, Dop = Fop.source, Fop.target
     for kind, colimit, weak in (("products", "coproduct", False), ("pullbacks", "pushout", True)):
-        for _, data, diagram in limits._limit_instances(Cop, kind):
-            ls = limits.limit(Cop, diagram)
+        for data, ls in _cocones(C, kind):
             if not ls:
                 raise ColimitAbsent(f"source has no {colimit} of ({data[0]!r}, {data[1]!r})")
             for cc in ls:
                 img = limits._image_cone(Fop, cc)
-                if not limits.is_limit_cone(Dop, img, weak=weak):
+                if not limits.is_limit_cone(Fop.target, img, weak=weak):
                     return ConditionReport(
                         False, {"colimit": [colimit, *data], "image_apex": img.apex}
                     )

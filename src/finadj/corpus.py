@@ -19,21 +19,7 @@ from .enriched import (
     identity_gfunctor,
     validate_gcat,
 )
-from .fincat import FinCategory, FinFunctor, search, validate_category, validate_functor
-
-
-def _category(objects, arrows, compose) -> FinCategory:
-    """Build from nonidentity arrow triples and nonidentity compose entries."""
-    morphisms = [{"id": f"id_{x}", "src": x, "dst": x} for x in objects]
-    morphisms += [{"id": a, "src": s, "dst": d} for a, s, d in arrows]
-    return validate_category(
-        {
-            "objects": list(objects),
-            "morphisms": morphisms,
-            "identities": {x: f"id_{x}" for x in objects},
-            "compose": [[g, f, gf] for g, f, gf in compose],
-        }
-    )
+from .fincat import FinCategory, FinFunctor, search, small_category, validate_functor
 
 
 def poset_category(objects, pairs) -> FinCategory:
@@ -49,7 +35,7 @@ def poset_category(objects, pairs) -> FinCategory:
             if (x, z) not in rel:
                 raise ValueError(f"relation is not transitive at ({x}, {z})")
             compose.append((f"{y}<{z}", f"{x}<{y}", f"{x}<{z}"))
-    return _category(objects, arrows, compose)
+    return small_category(objects, arrows, compose)
 
 
 def functor(C: FinCategory, D: FinCategory, obj_map, mor_map=None) -> FinFunctor:
@@ -71,16 +57,16 @@ def monotone_functor(P: FinCategory, Q: FinCategory, obj_map) -> FinFunctor:
 
 
 def empty_cat() -> FinCategory:
-    return _category([], [], [])
+    return small_category([], [], [])
 
 
 def one() -> FinCategory:
     """The terminal category."""
-    return _category(["*"], [], [])
+    return small_category(["*"], [], [])
 
 
 def disc2() -> FinCategory:
-    return _category(["x", "y"], [], [])
+    return small_category(["x", "y"], [], [])
 
 
 def two() -> FinCategory:
@@ -110,12 +96,12 @@ def wedge() -> FinCategory:
 
 def pp() -> FinCategory:
     """The parallel pair: two objects, two parallel arrows."""
-    return _category(["a", "b"], [("f", "a", "b"), ("g", "a", "b")], [])
+    return small_category(["a", "b"], [("f", "a", "b"), ("g", "a", "b")], [])
 
 
 def ppe() -> FinCategory:
     """The parallel pair with an equalizing fork in front."""
-    return _category(
+    return small_category(
         ["e0", "a", "b"],
         [("u", "e0", "a"), ("f", "a", "b"), ("g", "a", "b"), ("w", "e0", "b")],
         [("f", "u", "w"), ("g", "u", "w")],
@@ -124,7 +110,7 @@ def ppe() -> FinCategory:
 
 def iso2() -> FinCategory:
     """Two isomorphic objects (the contractible groupoid on two objects)."""
-    return _category(
+    return small_category(
         ["a", "b"],
         [("u", "a", "b"), ("v", "b", "a")],
         [("v", "u", "id_a"), ("u", "v", "id_b")],
@@ -133,17 +119,17 @@ def iso2() -> FinCategory:
 
 def z2() -> FinCategory:
     """The group of order two as a one-object category."""
-    return _category(["*"], [("s", "*", "*")], [("s", "s", "id_*")])
+    return small_category(["*"], [("s", "*", "*")], [("s", "s", "id_*")])
 
 
 def idem() -> FinCategory:
     """One object with a nontrivial idempotent."""
-    return _category(["*"], [("p", "*", "*")], [("p", "p", "p")])
+    return small_category(["*"], [("p", "*", "*")], [("p", "p", "p")])
 
 
 def free_boundary() -> FinCategory:
     """The free category on the triangle boundary: two distinct 0 -> 2."""
-    return _category(
+    return small_category(
         ["0", "1", "2"],
         [("a", "0", "1"), ("b", "1", "2"), ("e", "0", "2"), ("ba", "0", "2")],
         [("b", "a", "ba")],
@@ -381,30 +367,18 @@ def disc_gpd() -> GpdCategory:
     )
 
 
+def point_into(T: GpdCategory, x: str) -> GpdFunctor:
+    """The functor from the point to T that picks x."""
+    e = T.identities[x]
+    F = GpdFunctor(embed(one()), T, {"*": x}, {"id_*": e}, {"id2_id_*": T.id2(e)})
+    check_gfunctor(F)
+    return F
+
+
 def pz2_pick_y() -> GpdFunctor:
     """The fixture functor: the point into pz2 at y.  Its homotopy functor
     has a left adjoint, the enriched functor does not."""
-    F = GpdFunctor(
-        embed(one()),
-        pz2(),
-        {"*": "y"},
-        {"id_*": "id_y"},
-        {"id2_id_*": "1id_y"},
-    )
-    check_gfunctor(F)
-    return F
-
-
-def pz2_pick_x() -> GpdFunctor:
-    F = GpdFunctor(
-        embed(one()),
-        pz2(),
-        {"*": "x"},
-        {"id_*": "id_x"},
-        {"id2_id_*": "1id_x"},
-    )
-    check_gfunctor(F)
-    return F
+    return point_into(pz2(), "y")
 
 
 def pz2_to_point() -> GpdFunctor:
@@ -421,19 +395,6 @@ def pz2_to_point() -> GpdFunctor:
     return F
 
 
-def point_into_disc_gpd(which: str) -> GpdFunctor:
-    D = disc_gpd()
-    F = GpdFunctor(
-        embed(one()),
-        D,
-        {"*": which},
-        {"id_*": f"id_{which}"},
-        {"id2_id_*": f"1id_{which}"},
-    )
-    check_gfunctor(F)
-    return F
-
-
 def enriched_functors() -> list[tuple[str, GpdFunctor]]:
     cats = categories()
     return [
@@ -443,11 +404,11 @@ def enriched_functors() -> list[tuple[str, GpdFunctor]]:
         ("embed_two_to_chain3", embed_functor(monotone_functor(cats["two"], cats["chain3"], {"0": "0", "1": "2"}))),
         ("embed_one_to_chain3_top", embed_functor(functor(cats["one"], cats["chain3"], {"*": "2"}))),
         ("pz2_pick_y", pz2_pick_y()),
-        ("pz2_pick_x", pz2_pick_x()),
+        ("pz2_pick_x", point_into(pz2(), "x")),
         ("pz2_identity", identity_gfunctor(pz2())),
         ("pz2_to_point", pz2_to_point()),
-        ("disc_gpd_pick_x", point_into_disc_gpd("x")),
-        ("disc_gpd_pick_y", point_into_disc_gpd("y")),
+        ("disc_gpd_pick_x", point_into(disc_gpd(), "x")),
+        ("disc_gpd_pick_y", point_into(disc_gpd(), "y")),
     ]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import limits
-from .adjoint import GaftResult, _first_components, comma_under, gaft_decide
+from .adjoint import GaftResult, comma_under, gaft_decide
 from .fincat import (
     CategoryError,
     FinCategory,
@@ -32,6 +32,7 @@ from .fincat import (
     check_laws,
     check_shape,
     components,
+    escape,
     functor_profile,
 )
 
@@ -441,6 +442,7 @@ def homotopy_category(G: GpdCategory) -> HomotopyResult:
         if cell_class[g] == g and cell_class[f] == f
     }
     C = build_category(G.objects, [(r, *G.cell_loc(r)) for r in reps], identity, compose)
+    check_laws(C)
     try:
         check_functor_laws(FinFunctor(G.cell_layer, C, {x: x for x in G.objects}, cell_class))
     except CategoryError as exc:
@@ -478,11 +480,16 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     of a 1-cell phi: d -> d' and a 2-cell alpha: G(phi) o u => u'.  A
     2-cell between such pairs is a 2-cell m: phi => phi' whose whiskering
     pastes the two alphas together on the nose (strict enrichment).
+
+    The object (d, u) is named "(d,u)" with \\ and , escaped in d, the
+    1-cell (phi, alpha) out of o "(phi,alpha)@o" with \\ and , escaped in
+    phi and \\ and @ in alpha, and the 2-cell m out of the 1-cell named cid
+    "(m)@cid" with \\ and @ escaped in m, so no two share a name.
     """
     D, Ccal = G.source, G.target
     if c not in Ccal.objects:
         raise UnknownObject(f"{c!r} is not an object of the target")
-    first = _first_components(D.objects)
+    first = {d: escape(d, ",") for d in D.objects}
     objects, pairs = [], {}
     for d in D.objects:
         for u in Ccal.hom(c, G.obj_map[d]).objects:
@@ -490,7 +497,7 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
             objects.append(o)
             pairs[o] = (d, u)
 
-    cell_id = lambda phi, alpha, o: f"({phi},{alpha})@{o}"
+    cell_id = lambda phi, alpha, o: f"({escape(phi, ',')},{escape(alpha, '@')})@{o}"
     cell_info: dict[str, tuple[str, str]] = {}
     cell_endpoints: dict[str, tuple[str, str]] = {}
     hom_cells: dict[tuple[str, str], list[str]] = {}
@@ -509,7 +516,7 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
                     cell_endpoints[cid] = (o, o2)
                     hom_cells.setdefault((o, o2), []).append(cid)
 
-    arrow_id = lambda m, cid: f"({m})@{cid}"
+    arrow_id = lambda m, cid: f"({escape(m, '@')})@{cid}"
     arrow_info: dict[str, str] = {}
     hom_arrows: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
     for cid, (phi, alpha) in cell_info.items():

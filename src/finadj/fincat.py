@@ -270,18 +270,25 @@ def build_category(
     morphisms: Iterable[tuple[str, str, str]],
     identity: Mapping[str, str],
     compose: Mapping[tuple[str, str], str],
-    check: bool = True,
 ) -> FinCategory:
-    """Assemble a FinCategory from parts already known to be total."""
-    C = FinCategory(
+    """Assemble a FinCategory from parts already known to be total, with no
+    check: a caller that cannot vouch for the laws runs `check_laws`."""
+    return FinCategory(
         objects=tuple(objects),
         morphisms=tuple(Morphism(*m) for m in morphisms),
         identity=dict(identity),
         compose_table=dict(compose),
     )
-    if check:
-        check_laws(C)
-    return C
+
+
+def escape(name: str, chars: str) -> str:
+    """`name` with a backslash put before each \\ and each of `chars`, so
+    that a name built from escaped parts and unescaped separators among
+    `chars` splits back into its parts."""
+    name = name.replace("\\", "\\\\")
+    for ch in chars:
+        name = name.replace(ch, "\\" + ch)
+    return name
 
 
 def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tuple[str, str, str]]) -> FinFunctor:
@@ -319,7 +326,7 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     (Ph o Pg) o Pf, which are equal when D is associative; and a faithful
     P sends no two parallel lifts to one morphism.
     """
-    end = {o: o.replace("\\", "\\\\").replace(">", "\\>").replace(":", "\\:") for o in over}
+    end = {o: escape(o, ">:") for o in over}
     # an end outside `over` only names a lift that the next loop rejects
     lifts = [(f"({phi}):{end.get(o, o)}>{end.get(o2, o2)}", phi, o, o2) for phi, o, o2 in arrows]
     for m, phi, o, o2 in lifts:
@@ -358,22 +365,17 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
         if m in seen:
             raise NotFunctorial(f"the projection is not faithful: lift {m} occurs twice")
         seen.add(m)
-    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose, check=False)
+    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose)
     return FinFunctor(base, D, dict(over), {m: phi for m, phi, _, _ in lifts})
 
 
-def validate_category(
-    raw: Mapping,
-    closure_bound: int = DEFAULT_CLOSURE_BOUND,
-    require_total: bool = False,
-) -> FinCategory:
+def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) -> FinCategory:
     """Validate raw category data and return a law-abiding FinCategory.
 
     `raw` carries the keys "objects", "morphisms", "identities", "compose".
     If the compose table only covers some composable pairs, the remaining
     composites are synthesized by congruence closure over the declared
-    generators, subject to `closure_bound`.  With `require_total` a partial
-    table is an error instead.
+    generators, subject to `closure_bound`.
     """
     check_shape(raw, _CATEGORY_SHAPE)
     objects = list(raw["objects"])
@@ -425,9 +427,6 @@ def validate_category(
         for f in ids
         if endpoints[f][1] == endpoints[g][0]
     )
-    if not total and require_total:
-        raise MissingComposite("composition table is partial and closure was disabled")
-
     if total:
         for (g, f), gf in table.items():
             if g in identity_ids and gf != f:
@@ -464,6 +463,23 @@ def validate_category(
     return C
 
 
+def small_category(objects, arrows, compose) -> FinCategory:
+    """A category from its nonidentity arrows (id, src, dst) and the
+    compose entries (g, f, g o f) among them that are not forced; the
+    rest is closed as `validate_category` closes it.  The identity of x is
+    named id_<x>, and the identities come first, in object order."""
+    morphisms = [{"id": f"id_{x}", "src": x, "dst": x} for x in objects]
+    morphisms += [{"id": a, "src": s, "dst": d} for a, s, d in arrows]
+    return validate_category(
+        {
+            "objects": list(objects),
+            "morphisms": morphisms,
+            "identities": {x: f"id_{x}" for x in objects},
+            "compose": [[g, f, gf] for g, f, gf in compose],
+        }
+    )
+
+
 def hom_set(C: FinCategory, x: str, y: str) -> tuple[str, ...]:
     """Morphism ids from x to y, in declared order."""
     if not C.has_object(x):
@@ -492,12 +508,6 @@ class FinFunctor:
     target: FinCategory
     obj_map: dict[str, str]
     mor_map: dict[str, str]
-
-    def obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def mor(self, m: str) -> str:
-        return self.mor_map[m]
 
     def to_dict(self) -> dict:
         return {

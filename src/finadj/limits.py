@@ -21,7 +21,7 @@ from .fincat import (
     identity_functor,
     minimal_sets,
     search,
-    validate_category,
+    small_category,
 )
 
 
@@ -52,45 +52,10 @@ class PreservationReport:
 
 # -- canonical diagram shapes ---------------------------------------------
 
-_EMPTY_SHAPE = validate_category({"objects": [], "morphisms": [], "identities": {}, "compose": []})
-
-_DISC2_SHAPE = validate_category(
-    {
-        "objects": ["j0", "j1"],
-        "morphisms": [{"id": "1j0", "src": "j0", "dst": "j0"}, {"id": "1j1", "src": "j1", "dst": "j1"}],
-        "identities": {"j0": "1j0", "j1": "1j1"},
-        "compose": [],
-    }
-)
-
-_PARALLEL_SHAPE = validate_category(
-    {
-        "objects": ["j0", "j1"],
-        "morphisms": [
-            {"id": "1j0", "src": "j0", "dst": "j0"},
-            {"id": "1j1", "src": "j1", "dst": "j1"},
-            {"id": "ja", "src": "j0", "dst": "j1"},
-            {"id": "jb", "src": "j0", "dst": "j1"},
-        ],
-        "identities": {"j0": "1j0", "j1": "1j1"},
-        "compose": [],
-    }
-)
-
-_COSPAN_SHAPE = validate_category(
-    {
-        "objects": ["j0", "j1", "jc"],
-        "morphisms": [
-            {"id": "1j0", "src": "j0", "dst": "j0"},
-            {"id": "1j1", "src": "j1", "dst": "j1"},
-            {"id": "1jc", "src": "jc", "dst": "jc"},
-            {"id": "jl", "src": "j0", "dst": "jc"},
-            {"id": "jr", "src": "j1", "dst": "jc"},
-        ],
-        "identities": {"j0": "1j0", "j1": "1j1", "jc": "1jc"},
-        "compose": [],
-    }
-)
+_EMPTY_SHAPE = small_category([], [], [])
+_DISC2_SHAPE = small_category(["j0", "j1"], [], [])
+_PARALLEL_SHAPE = small_category(["j0", "j1"], [("ja", "j0", "j1"), ("jb", "j0", "j1")], [])
+_COSPAN_SHAPE = small_category(["j0", "j1", "jc"], [("jl", "j0", "jc"), ("jr", "j1", "jc")], [])
 
 
 def _diagram(shape: FinCategory, C: FinCategory, obj_map: dict, gens: dict) -> FinFunctor:

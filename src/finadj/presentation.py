@@ -108,15 +108,15 @@ def close_presentation(
     objects: Sequence[str],
     generators: Iterable[tuple[str, str, str]],
     relations: Iterable[Relation],
-    identity_names: dict[str, str] | None = None,
-    bound: int = 10_000,
+    identity_names: dict[str, str],
+    bound: int,
 ) -> FinCategory:
     """Close a presentation into a finite category with a total table.
 
     `generators` are (id, src, dst) triples; identities are implicit and
-    named through `identity_names` (default "id_<object>", primed on
-    collision).  Each relation equates two parallel generator paths read in
-    diagrammatic order, the empty path standing for an identity.
+    named through `identity_names`, primed on collision.  Each relation
+    equates two parallel generator paths read in diagrammatic order, the
+    empty path standing for an identity.
     """
     objects = list(objects)
     gens = list(generators)
@@ -169,7 +169,6 @@ def close_presentation(
     root_of_gen = {g: st.fold(id_cls[s], (g,), gen_dst) for g, s, _ in gens}
     names: dict[int, str] = {}
     taken: set[str] = set()
-    identity_names = identity_names or {}
 
     def claim(name: str) -> str:
         while name in taken:
@@ -181,7 +180,7 @@ def close_presentation(
     for x in objects:
         r = st.find(id_cls[x])
         if r not in names:
-            names[r] = claim(identity_names.get(x, f"id_{x}"))
+            names[r] = claim(identity_names[x])
             ordered.append(r)
     for g, _, _ in gens:
         r = st.find(root_of_gen[g])
@@ -189,9 +188,8 @@ def close_presentation(
             names[r] = claim(g)
             ordered.append(r)
     for r in roots:
-        if r not in names:
-            w = st.witness[r]
-            names[r] = claim("∘".join(reversed(w)) if w else f"id_{st.src[r]}")
+        if r not in names:  # a composite: only identity classes have an empty witness
+            names[r] = claim("∘".join(reversed(st.witness[r])))
             ordered.append(r)
 
     identity = {x: names[st.find(id_cls[x])] for x in objects}
@@ -204,4 +202,4 @@ def close_presentation(
             c = st.fold(a, st.witness[b], gen_dst)
             # entry is (g, f) -> g o f with f first in diagrammatic order
             compose[(names[st.find(b)], names[a])] = names[c]
-    return build_category(objects, morphisms, identity, compose, check=False)
+    return build_category(objects, morphisms, identity, compose)

@@ -12,7 +12,7 @@ import time
 from finadj import corpus, sweeps
 from finadj.cli import run
 
-# sha256 of each `finadj corpus <suite>` certificate.  ROADMAP item 1's
+# sha256 of each `finadj corpus <suite>` certificate.  ROADMAP item 2's
 # stats block will change these on purpose; any other change to them is a
 # change in behaviour.
 GOLDEN_DIGESTS = {

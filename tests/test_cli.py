@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import importlib.util
 import io
 import json
@@ -376,3 +377,18 @@ def test_malformed_files_are_invalid_and_exit_two(files, case):
     assert code == 0 and cert["verdict"] == "invalid"
     assert cert["witness"]["error"] == error, cert["witness"]
     assert run(other) == 2
+
+
+# sha256 of the exit code, stdout and stderr of every cli-mix argv in order,
+# with the fixture folder in stdout replaced by a fixed token
+CLI_MIX_DIGEST = "c9a0559431106b40a1bb7878e23ec511fd1fd77cb6dc404df124a53be2e72428"
+
+
+def test_cli_mix_outputs_are_pinned(tmp_path, monkeypatch):
+    argvs = _cli_mix_argvs(tmp_path, monkeypatch)
+    rows = []
+    for argv in argvs:
+        code, out, err = _captured(argv)
+        rows.append([code, out.replace(str(tmp_path), "<fixtures>"), err])
+    assert len(rows) == 21
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CLI_MIX_DIGEST

@@ -1,11 +1,13 @@
 """Code with no caller is deleted.
 
-Every function, class and method defined in `src/finadj` must be named
-again somewhere in `src/`, `tests/` or `demos/`.  Its own definition does
-not count, and neither does a re-export from an `__init__.py`.  Dunder
-methods are exempt: the interpreter calls them.  Every name a module of
-`src/finadj` imports at module level is used in that module, and every
-field of a dataclass there is read as an attribute somewhere.
+Every function and class defined in `src/finadj` must be named again
+somewhere in `src/`, `tests/` or `demos/`.  Its own definition does not
+count, and neither does a re-export from an `__init__.py`.  A method counts
+only when an attribute read there names it, since its name may be part of
+other words.  Dunder methods are exempt: the interpreter calls them.
+Every name a module of `src/finadj` imports at module level is used in
+that module, and every field of a dataclass there is read as an attribute
+somewhere.
 """
 
 import ast
@@ -18,11 +20,24 @@ PACKAGE = ROOT / "src" / "finadj"
 
 
 def _definitions():
+    """(where, name, is a method) for each function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        methods = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for node in c.body}
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield f"{path.name}:{node.lineno}", node.name
+                    yield f"{path.name}:{node.lineno}", node.name, id(node) in methods
+
+
+def _attributes_read() -> set[str]:
+    return {
+        node.attr
+        for folder in ("src", "tests", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
 
 
 def test_every_definition_is_referenced():
@@ -32,12 +47,17 @@ def test_every_definition_is_referenced():
         for path in sorted((ROOT / folder).rglob("*.py"))
         if path.name != "__init__.py"
     ]
+    read = _attributes_read()
     definitions = list(_definitions())
-    defined = Counter(name for _, name in definitions)
+    defined = Counter(name for _, name, _ in definitions)
     unreferenced = []
-    for where, name in definitions:
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if sum(len(word.findall(text)) for text in texts) <= defined[name]:
+    for where, name, method in definitions:
+        if method:
+            referenced = name in read
+        else:
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            referenced = sum(len(word.findall(text)) for text in texts) > defined[name]
+        if not referenced:
             unreferenced.append(f"{where} {name}")
     assert not unreferenced, unreferenced
 
@@ -64,13 +84,7 @@ def _is_dataclass(decorator) -> bool:
 
 
 def test_every_dataclass_field_is_read():
-    read = {
-        node.attr
-        for folder in ("src", "tests", "demos")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
-    }
+    read = _attributes_read()
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

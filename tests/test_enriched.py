@@ -1,4 +1,6 @@
 import copy
+import hashlib
+import json
 import re
 from collections import Counter
 
@@ -30,7 +32,7 @@ from finadj.enriched import (
     validate_gcat,
     validate_gfunctor,
 )
-from finadj.fincat import identity_functor, isomorphic
+from finadj.fincat import identity_functor, isomorphic, small_category
 from finadj.limits import equalizer_cones, has_finite_limits, weakly_initial_sets
 from finadj.sweeps import inflate
 
@@ -537,3 +539,44 @@ def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
     # 124 distinct draws of 200; one more check for the pz2 comparison functor
     assert len(draws) == 124
     assert calls == {"inflate": 124, "initial_reflection_check": 125}
+
+
+def test_enriched_comma_cells_are_named_injectively(tmp_path):
+    """Out of the comma object (d, id_c), the 1-cells over p,id2_a and p
+    would both be named (p,id2_a,id2_b)@(d,id_c) without escaping."""
+    from finadj.cli import run
+
+    D = small_category(["d", "e1", "e2"], [("p,id2_a", "d", "e1"), ("p", "d", "e2")], [])
+    C = small_category(["c", "g1", "g2"], [("b", "c", "g1"), ("a,id2_b", "c", "g2")], [])
+    G = corpus.functor(D, C, {"d": "c", "e1": "g1", "e2": "g2"}, {"p,id2_a": "b", "p": "a,id2_b"})
+    assert gaft_decide(G).exists
+    gf = embed_functor(G)
+    cells = enriched_comma_under(gf, "c").cell_info
+    assert cells["(p\\,id2_a,id2_b)@(d,id_c)"] == ("p,id2_a", "id2_b")
+    assert cells["(p,id2_a,id2_b)@(d,id_c)"] == ("p", "id2_a,id2_b")
+    assert gaft_fin_decide(gf).exists
+    path = tmp_path / "gf.json"
+    doc = {"source": gcat_to_dict(gf.source), "target": gcat_to_dict(gf.target),
+           "obj_map": gf.obj_map, "cell_map": gf.cell_map, "arrow_map": gf.arrow_map}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run(["gaft-fin", "--gfunctor", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    assert json.loads((tmp_path / "out.json").read_text(encoding="utf-8"))["verdict"] == "exists"
+
+
+# sha256 of [gcat_to_dict(base), pairs, cell_info] for the enriched comma at
+# every anchor of the functors below, one JSON document per comma; taken
+# before the comma's 1-cell and 2-cell names were escaped, which leaves
+# every name here unchanged
+ENRICHED_COMMA_DIGEST = "07d5284b68b33b2e21cfa382fa253752c11b32271eab8b11ee715d85041b0115"
+
+
+def test_enriched_commas_are_pinned():
+    functors = [G for _, G in corpus.enriched_functors()]
+    functors += [embed_functor(G) for _, G in corpus.curated_oracle_functors()]
+    digest = hashlib.sha256()
+    for G in functors:
+        for c in G.target.objects:
+            ec = enriched_comma_under(G, c)
+            digest.update(json.dumps([gcat_to_dict(ec.base), ec.pairs, ec.cell_info]).encode() + b"\n")
+    assert len(functors) == 37
+    assert digest.hexdigest() == ENRICHED_COMMA_DIGEST

@@ -130,13 +130,6 @@ def test_closure_respects_declared_relations():
     assert C == corpus.z2()
 
 
-def test_require_total_rejects_partial_tables():
-    raw = corpus.free_boundary().to_dict()
-    raw["compose"] = []
-    with pytest.raises(MissingComposite):
-        validate_category(raw, require_total=True)
-
-
 def test_opposite_reverses_and_is_involutive():
     C = corpus.chain3()
     op = opposite(C)
