@@ -43,6 +43,9 @@ class OracleBoundExceeded(CategoryError):
     pass
 
 
+ORACLE_BOUNDS = (4, 16)  # the oracle's default max_source_objects, max_target_morphisms
+
+
 @dataclass(frozen=True)
 class Comma:
     """A comma category together with its projection.
@@ -279,8 +282,8 @@ class BruteForceResult:
 
 def brute_force_left_adjoint(
     G: FinFunctor,
-    max_source_objects: int = 4,
-    max_target_morphisms: int = 16,
+    max_source_objects: int = ORACLE_BOUNDS[0],
+    max_target_morphisms: int = ORACLE_BOUNDS[1],
 ) -> BruteForceResult:
     """Independent oracle: enumerate every functor and unit candidate.
 
@@ -360,8 +363,9 @@ def coinitiality_profile(F: FinFunctor) -> dict[str, CoinitialityRecord]:
 
 
 def comma_duality_holds(F: FinFunctor, d: str) -> bool:
-    """The over-comma agrees with the opposite of the under-comma of the
-    opposite functor, through the canonical pairing of objects."""
+    """The over-comma is isomorphic to the opposite of the under-comma of
+    the opposite functor.  Any isomorphism counts, not only the canonical
+    pairing of their objects."""
     over = comma_over(F, d)
     dual = comma_under(opposite_functor(F), d)
     return isomorphic(over.base, opposite(dual.base))

@@ -19,6 +19,7 @@ import sys
 
 from . import __version__, adjoint, brown, enriched, limits, simplicial, sweeps
 from .fincat import (
+    DEFAULT_CLOSURE_BOUND,
     FUNCTOR_FILE_SHAPE,
     CategoryError,
     ClosureBoundExceeded,
@@ -28,12 +29,8 @@ from .fincat import (
 )
 
 
-class ParseError(Exception):
-    pass
-
-
-class UnknownVerb(Exception):
-    pass
+class UsageError(Exception):
+    """An input file that cannot be read or parsed, or a missing option."""
 
 
 def _load_json(path: str) -> tuple[dict, str]:
@@ -41,11 +38,11 @@ def _load_json(path: str) -> tuple[dict, str]:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
-        raise ParseError(
+        raise UsageError(
             f"parse error in {path}, line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
 
@@ -102,9 +99,9 @@ def _run_validate(args, inputs: _Inputs) -> dict:
     elif len(chosen) == 1:
         kind = chosen.pop()
         if kind == "setfunctor":
-            raise UnknownVerb("validating a set functor also needs --category")
+            raise UsageError("validating a set functor also needs --category")
     else:
-        raise UnknownVerb("validate needs exactly one input kind")
+        raise UsageError("validate needs exactly one input kind")
     try:
         if kind == "category":
             _category_arg(args, inputs)
@@ -233,7 +230,7 @@ def _run_brown(args, inputs: _Inputs) -> dict:
         needs = ("category", "setfunctor")
     for flag in needs:
         if getattr(args, flag, None) is None:
-            raise UnknownVerb(f"brown --check {args.check} needs --{flag}")
+            raise UsageError(f"brown --check {args.check} needs --{flag}")
     if args.check == "generators":
         C = _category_arg(args, inputs)
         gens = brown.weak_generators(C)
@@ -276,7 +273,7 @@ def _run_brown(args, inputs: _Inputs) -> dict:
 
 
 def _run_corpus(args, inputs: _Inputs) -> dict:
-    report = sweeps.run_suite(args.suite, seed=args.seed, oracle_bounds=tuple(args.oracle_bounds))
+    report = sweeps.run_suite(args.suite, seed=args.seed, oracle_bounds=args.oracle_bounds)
     verdict = "pass" if report["failures"] == 0 else "fail"
     return _certificate(f"corpus_{args.suite}", verdict, report, inputs)
 
@@ -297,29 +294,29 @@ def _parse_bounds(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected two comma-separated non-negative integers")
-    lo, hi = map(_non_negative, parts)
-    return lo, hi
+    return tuple(map(_non_negative, parts))
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="finadj", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the certificate here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for generated fixtures")
-    common.add_argument(
+    # each verb takes --out and exactly the shared options its runner reads
+    out, closure, oracle, seed = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", help="write the certificate here instead of stdout")
+    closure.add_argument("--closure-bound", type=_non_negative, default=DEFAULT_CLOSURE_BOUND)
+    oracle.add_argument(
         "--oracle-bounds",
         type=_parse_bounds,
-        default=(4, 16),
+        default=adjoint.ORACLE_BOUNDS,
         metavar="OBJ,MOR",
         help="refusal bounds for the brute-force oracle",
     )
-    common.add_argument("--closure-bound", type=_non_negative, default=10_000)
+    seed.add_argument("--seed", type=int, default=0, help="seed for generated fixtures")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *options, **kw):
+        return sub.add_parser(name, parents=[out, *options], **kw)
 
-    p = add_parser("validate", help="validate an input file")
+    p = add_parser("validate", closure, help="validate an input file")
     p.add_argument("--category")
     p.add_argument("--functor")
     p.add_argument("--gcat")
@@ -327,16 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sset")
     p.add_argument("--setfunctor")
 
-    p = add_parser("initial", help="initial and terminal objects")
+    p = add_parser("initial", closure, help="initial and terminal objects")
     p.add_argument("--category", required=True)
 
-    p = add_parser("limits", help="finite-limit existence report")
+    p = add_parser("limits", closure, help="finite-limit existence report")
     p.add_argument("--category", required=True)
 
-    p = add_parser("adjoint", help="brute-force left adjoint oracle")
+    p = add_parser("adjoint", closure, oracle, help="brute-force left adjoint oracle")
     p.add_argument("--functor", required=True)
 
-    p = add_parser("gaft", help="decide a left adjoint via comma categories")
+    p = add_parser("gaft", closure, help="decide a left adjoint via comma categories")
     p.add_argument("--functor", required=True)
 
     p = add_parser("gaft-fin", help="decide an enriched left adjoint")
@@ -346,17 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gfunctor", required=True)
     p.add_argument("--preserves-finite-limits", choices=["true", "false"])
 
-    p = add_parser("tau1", help="fundamental category of a simplicial set")
+    p = add_parser("tau1", closure, help="fundamental category of a simplicial set")
     p.add_argument("--sset", required=True)
 
-    p = add_parser("nerve", help="nerve of a category")
+    p = add_parser("nerve", closure, help="nerve of a category")
     p.add_argument("--category", required=True)
 
     p = add_parser("classify", help="classify an object of an enriched category")
     p.add_argument("--gcat", required=True)
     p.add_argument("--object", required=True)
 
-    p = add_parser("brown", help="representability checks")
+    p = add_parser("brown", closure, help="representability checks")
     p.add_argument("--category")
     p.add_argument("--setfunctor")
     p.add_argument("--functor")
@@ -367,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-set-size", type=_non_negative, default=2)
 
-    p = add_parser("corpus", help="run a named invariant sweep")
+    p = add_parser("corpus", oracle, seed, help="run a named invariant sweep")
     p.add_argument("suite", choices=list(sweeps.SUITES))
     return ap
 
@@ -400,7 +397,7 @@ def run(argv=None) -> int:
     inputs = _Inputs()
     try:
         cert = _RUNNERS[args.verb](args, inputs)
-    except (ParseError, UnknownVerb) as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ClosureBoundExceeded, adjoint.OracleBoundExceeded) as exc:

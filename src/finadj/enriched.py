@@ -25,7 +25,6 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     FunctorProfile,
-    Morphism,
     UnknownObject,
     build_category,
     check_functor_laws,
@@ -63,15 +62,14 @@ def _build_gpd(cells, arrows, vcompose) -> FinCategory:
     one idempotent there is.  `check_gcat` asserts the category laws and
     that every 2-cell is invertible.
     """
-    arrows = tuple(Morphism(*a) for a in arrows)
     identity: dict[str, str] = {}
-    for a in arrows:
-        if a.src == a.dst and vcompose.get((a.id, a.id)) == a.id:
-            identity.setdefault(a.src, a.id)
-    return FinCategory(tuple(cells), arrows, identity, dict(vcompose))
+    for a, src, dst in arrows:
+        if src == dst and vcompose.get((a, a)) == a:
+            identity.setdefault(src, a)
+    return build_category(cells, arrows, identity, vcompose)
 
 
-_EMPTY_GPD = FinCategory((), (), {}, {})
+_EMPTY_GPD = build_category((), (), {}, {})
 
 
 @dataclass(frozen=True)
@@ -100,16 +98,16 @@ class GpdCategory:
     @cached_property
     def cell_layer(self) -> FinCategory:
         """The objects and 1-cells under horizontal composition."""
-        cells = tuple(Morphism(c, *self._cell_loc[c]) for c in self._cells_global)
-        return FinCategory(self.objects, cells, self.identities, self.hcompose_cells)
+        cells = ((c, *self._cell_loc[c]) for c in self._cells_global)
+        return build_category(self.objects, cells, self.identities, self.hcompose_cells)
 
     @cached_property
     def arrow_layer(self) -> FinCategory:
         """The objects and 2-cells under horizontal composition; the
         identity of x is the identity 2-cell of its identity 1-cell."""
-        arrows = tuple(Morphism(a, *self._arrow_loc[a]) for a in self._arrows_global)
+        arrows = ((a, *self._arrow_loc[a]) for a in self._arrows_global)
         identity = {x: self.id2(self.identities[x]) for x in self.objects}
-        return FinCategory(self.objects, arrows, identity, self.hcompose_arrows)
+        return build_category(self.objects, arrows, identity, self.hcompose_arrows)
 
     @cached_property
     def homotopy(self) -> HomotopyResult:
@@ -550,7 +548,7 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
             for bid, s2, t2 in by_src.get(t, ()):
                 comp_m = D.vcomp(arrow_info[bid], arrow_info[aid])
                 vcomp[(bid, aid)] = arrow_id(comp_m, s)
-        homs[loc] = _build_gpd(cs, [(aid, s, t) for aid, s, t in arrows], vcomp)
+        homs[loc] = _build_gpd(cs, arrows, vcomp)
 
     identities = {}
     for o in objects:

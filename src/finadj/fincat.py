@@ -433,12 +433,7 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
                 raise IdentityViolation(f"id o {f} declared as {gf}")
             if f in identity_ids and gf != g:
                 raise IdentityViolation(f"{g} o id declared as {gf}")
-        C = FinCategory(
-            objects=tuple(objects),
-            morphisms=tuple(Morphism(*m) for m in raw_mors),
-            identity=identity,
-            compose_table=forced,
-        )
+        C = build_category(objects, raw_mors, identity, forced)
         check_laws(C)
         return C
 
@@ -491,11 +486,11 @@ def hom_set(C: FinCategory, x: str, y: str) -> tuple[str, ...]:
 
 def opposite(C: FinCategory) -> FinCategory:
     """Reverse every morphism.  An involution: opposite(opposite(C)) == C."""
-    return FinCategory(
-        objects=C.objects,
-        morphisms=tuple(Morphism(m.id, m.dst, m.src) for m in C.morphisms),
-        identity=dict(C.identity),
-        compose_table={(f, g): h for (g, f), h in C.compose_table.items()},
+    return build_category(
+        C.objects,
+        ((m.id, m.dst, m.src) for m in C.morphisms),
+        C.identity,
+        {(f, g): h for (g, f), h in C.compose_table.items()},
     )
 
 

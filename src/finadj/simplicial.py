@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
-from .fincat import CategoryError, FinCategory, check_shape, search
+from .fincat import DEFAULT_CLOSURE_BOUND, CategoryError, FinCategory, check_shape, search
 from .presentation import close_presentation
 
 
@@ -376,7 +376,7 @@ def _edge_path(K: TruncSSet, v: FaceValue) -> tuple[str, ...]:
     return (v,)
 
 
-def tau1(K: TruncSSet, closure_bound: int = 10_000) -> FinCategory:
+def tau1(K: TruncSSet, closure_bound: int = DEFAULT_CLOSURE_BOUND) -> FinCategory:
     """The fundamental category: free on vertices and edges, modulo the
     relation d_1 s = d_0 s after d_2 s for every 2-simplex s.
 

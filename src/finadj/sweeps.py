@@ -18,6 +18,7 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     category_over,
+    compose_functors,
     opposite,
 )
 
@@ -59,7 +60,7 @@ def sweep_corpus_categories() -> list[tuple[str, FinCategory]]:
 # -- oracle ------------------------------------------------------------------
 
 
-def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = (4, 16)) -> Tally:
+def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = adjoint.ORACLE_BOUNDS) -> Tally:
     """Agreement of the comma-based decision with the brute-force oracle
     over every monotone map between posets of at most four elements, plus
     the curated non-poset instances.  Certificates are re-verified and must
@@ -87,7 +88,7 @@ def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = (4, 16)) -> Tal
     return t
 
 
-def oracle_sweep(oracle_bounds: tuple[int, int] = (4, 16)) -> dict:
+def oracle_sweep(oracle_bounds: tuple[int, int] = adjoint.ORACLE_BOUNDS) -> dict:
     return _report("oracle", [check_gaft_oracle_agreement(oracle_bounds)])
 
 
@@ -206,15 +207,18 @@ def reflection_pool() -> list[tuple[str, FinCategory]]:
     return pool
 
 
-def generate_reflection_functors(seed: int = 0, count: int = 200):
-    """Seeded stream of functors whose profiles meet all four hypotheses.
-    Every draw is named and listed, but a repeated draw lists the functor
-    value its first draw built, so each is inflated once."""
+REFLECTION_DRAWS = 200  # all must qualify for `check_initial_reflection`
+
+
+def generate_reflection_functors(seed: int = 0):
+    """Seeded stream of REFLECTION_DRAWS functors whose profiles meet all
+    four hypotheses.  Every draw is named and listed, but a repeated draw
+    lists the functor value its first draw built, so each is inflated once."""
     rng = random.Random(seed)
     pool = reflection_pool()
     built: dict[tuple[int, tuple[int, ...]], FinFunctor] = {}
     out = []
-    while len(out) < count:
+    while len(out) < REFLECTION_DRAWS:
         i = rng.randrange(len(pool))
         name, C = pool[i]
         copies = [rng.randint(1, 3) for _ in C.objects]
@@ -264,11 +268,11 @@ def check_pz2_divergence() -> Tally:
 
 
 def check_initial_reflection(seed: int = 0) -> Tally:
-    """Initial objects are reflected by 200 generated functors meeting the
-    four hypotheses, and no claim is made for the pz2 comparison functor,
-    which misses one of them."""
+    """Initial objects are reflected by the REFLECTION_DRAWS generated
+    functors meeting the four hypotheses, and no claim is made for the pz2
+    comparison functor, which misses one of them."""
     t = Tally()
-    generated = generate_reflection_functors(seed=seed, count=200)
+    generated = generate_reflection_functors(seed=seed)
     reports = {}  # by functor value, which repeated draws share
     qualifying = 0
     for name, F in generated:
@@ -280,7 +284,7 @@ def check_initial_reflection(seed: int = 0) -> Tally:
         qualifying += 1
         t.check(rep.reflects is True, {"functor": name, "invariant": "initial_reflection"})
     t.details = {"reflection_generated": len(generated), "reflection_qualifying": qualifying}
-    if qualifying < 200:
+    if qualifying < REFLECTION_DRAWS:
         t.failures.append({"invariant": "reflection_sample_size", "qualifying": qualifying})
     cmpF, _ = enriched.comparison_functor(corpus.pz2_pick_y(), "x")
     rep = enriched.initial_reflection_check(cmpF)
@@ -392,11 +396,7 @@ def check_homotopy_functoriality(cats) -> Tally:
         lhs = enriched.homotopy_functor(enriched.compose_gfunctors(G2, G1))
         rhs_src = enriched.homotopy_functor(G1)
         rhs_tgt = enriched.homotopy_functor(G2)
-        composed = {
-            "obj": {x: rhs_tgt.obj_map[y] for x, y in rhs_src.obj_map.items()},
-            "mor": {m: rhs_tgt.mor_map[n] for m, n in rhs_src.mor_map.items()},
-        }
-        ok = lhs.obj_map == composed["obj"] and lhs.mor_map == composed["mor"]
+        ok = lhs == compose_functors(rhs_tgt, rhs_src)
         t.check(ok, {"pair": name, "invariant": "homotopy_functoriality"})
     return t
 
@@ -446,7 +446,7 @@ def enriched_sweep() -> dict:
     return _report("enriched", tallies, enriched_functors=len(efs))
 
 
-def run_suite(suite: str, seed: int = 0, oracle_bounds: tuple[int, int] = (4, 16)) -> dict:
+def run_suite(suite: str, seed: int = 0, oracle_bounds: tuple[int, int] = adjoint.ORACLE_BOUNDS) -> dict:
     if suite == "posets4":
         return posets4_sweep()
     if suite == "fixtures":

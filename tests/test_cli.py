@@ -1,17 +1,21 @@
+import argparse
+import ast
 import contextlib
 import copy
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finadj import corpus
+from finadj import cli, corpus
 from finadj.cli import run
 from finadj.enriched import gcat_to_dict
 from finadj.simplicial import boundary_simplex
@@ -178,6 +182,50 @@ def test_bound_errors_exit_three(files):
         {"simplices": {"0": ["v"], "1": ["e"], "2": [], "3": []}, "faces": {"e": ["v", "v"]}},
     )
     assert run(["tau1", "--sset", circle, "--closure-bound", "32"]) == 3
+
+
+# --out, the bounds and --seed: each verb takes those its runner reads
+SHARED = {"--out": "o.json", "--closure-bound": "5", "--oracle-bounds": "1,2", "--seed": "3"}
+
+
+def _args_read(fn) -> set[str]:
+    """The attributes of `args` that `fn` reads, itself or through the cli
+    functions it passes `args` to."""
+    read = set()
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn)))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and "args" in [
+            a.id for a in node.args if isinstance(a, ast.Name)
+        ]:
+            callee = getattr(cli, node.func.id, None)
+            if inspect.isfunction(callee) and callee.__module__ == cli.__name__:
+                read |= _args_read(callee)
+    return read
+
+
+def test_each_verb_takes_exactly_the_shared_options_it_reads(capsys):
+    verbs = next(a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)).choices
+    slots = sum(bool(set(a.option_strings) & set(SHARED)) for p in verbs.values() for a in p._actions)
+    assert slots == 23
+    for verb, parser in verbs.items():
+        argv = [verb]
+        for a in parser._actions:
+            if a.required:
+                value = a.choices[0] if a.choices else "x.json"
+                argv += [a.option_strings[0], value] if a.option_strings else [value]
+        reads = _args_read(cli._RUNNERS[verb]) | _args_read(cli.run)
+        default = cli._PARSER.parse_args(argv)
+        for flag, value in SHARED.items():
+            dest = flag[2:].replace("-", "_")
+            if dest in reads:
+                args = cli._PARSER.parse_args(argv + [flag, value])
+                assert getattr(args, dest) != getattr(default, dest), (verb, flag)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    cli._PARSER.parse_args(argv + [flag, value])
+                assert exc.value.code == 2, (verb, flag)
+                assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_adjoint_verb_runs_the_oracle(files):

@@ -1,18 +1,19 @@
 """Code with no caller is deleted.
 
-Every function and class defined in `src/finadj` must be named again
-somewhere in `src/`, `tests/` or `demos/`.  Its own definition does not
-count, and neither does a re-export from an `__init__.py`.  A method counts
-only when an attribute read there names it, since its name may be part of
-other words.  Dunder methods are exempt: the interpreter calls them.
+Every function and class defined in `src/finadj` must be read somewhere
+in `src/`, `tests/` or `demos/`.  A definition in module m counts only
+through the syntax tree: a load of its name inside m, an import of the name
+from m, or an attribute read `m.<name>`.  Its own definition does not count,
+nor does a re-export from an `__init__.py`, nor a comment, string or
+same-named attribute of another module (`re.compile` does not read a
+`compile` of ours).  A method counts when an attribute read names it.
+Dunder methods are exempt: the interpreter calls them.
 Every name a module of `src/finadj` imports at module level is used in
 that module, and every field of a dataclass there is read as an attribute
 somewhere.
 """
 
 import ast
-import re
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,45 +21,51 @@ PACKAGE = ROOT / "src" / "finadj"
 
 
 def _definitions():
-    """(where, name, is a method) for each function and class."""
+    """(module, line, name, is a method) for each function and class."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         methods = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for node in c.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not (node.name.startswith("__") and node.name.endswith("__")):
-                    yield f"{path.name}:{node.lineno}", node.name, id(node) in methods
+                    yield path.stem, node.lineno, node.name, id(node) in methods
+
+
+def _trees():
+    """(module name if in src/finadj, syntax tree) of each scanned file."""
+    for folder in ("src", "tests", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py":
+                yield path.stem if path.parent == PACKAGE else None, ast.parse(path.read_text())
 
 
 def _attributes_read() -> set[str]:
-    return {
-        node.attr
-        for folder in ("src", "tests", "demos")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
-    }
+    return {node.attr for _, tree in _trees() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _module_names_read() -> set[tuple[str, str]]:
+    """(module, name) for each name of a src/finadj module that is loaded
+    inside it, imported from it, or read as `module.name`."""
+    read = set()
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+                read.add((module, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.removeprefix("finadj.") if node.level == 0 else node.module
+                read.update((source, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add((node.value.id, node.attr))
+    return read
 
 
 def test_every_definition_is_referenced():
-    texts = [
-        path.read_text()
-        for folder in ("src", "tests", "demos")
-        for path in sorted((ROOT / folder).rglob("*.py"))
-        if path.name != "__init__.py"
+    attributes, names = _attributes_read(), _module_names_read()
+    unreferenced = [
+        f"{module}.py:{line} {name}"
+        for module, line, name, method in _definitions()
+        if not (name in attributes if method else (module, name) in names)
     ]
-    read = _attributes_read()
-    definitions = list(_definitions())
-    defined = Counter(name for _, name, _ in definitions)
-    unreferenced = []
-    for where, name, method in definitions:
-        if method:
-            referenced = name in read
-        else:
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            referenced = sum(len(word.findall(text)) for text in texts) > defined[name]
-        if not referenced:
-            unreferenced.append(f"{where} {name}")
     assert not unreferenced, unreferenced
 
 
