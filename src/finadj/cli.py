@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 
@@ -273,7 +274,14 @@ def _run_brown(args, inputs: _Inputs) -> dict:
 
 
 def _run_corpus(args, inputs: _Inputs) -> dict:
-    report = sweeps.run_suite(args.suite, seed=args.seed, oracle_bounds=args.oracle_bounds)
+    sweep = sweeps.SUITES[args.suite]
+    given = {"seed": args.seed, "oracle_bounds": args.oracle_bounds}
+    given = {name: value for name, value in given.items() if value is not None}
+    unread = sorted(given.keys() - inspect.signature(sweep).parameters.keys())
+    if unread:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
+        raise UsageError(f"corpus {args.suite} does not read {flags}")
+    report = sweep(**given)
     verdict = "pass" if report["failures"] == 0 else "fail"
     return _certificate(f"corpus_{args.suite}", verdict, report, inputs)
 
@@ -299,18 +307,16 @@ def _parse_bounds(text: str) -> tuple[int, int]:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="finadj", description=__doc__)
+
     # each verb takes --out and exactly the shared options its runner reads
-    out, closure, oracle, seed = (argparse.ArgumentParser(add_help=False) for _ in range(4))
-    out.add_argument("--out", help="write the certificate here instead of stdout")
-    closure.add_argument("--closure-bound", type=_non_negative, default=DEFAULT_CLOSURE_BOUND)
-    oracle.add_argument(
-        "--oracle-bounds",
-        type=_parse_bounds,
-        default=adjoint.ORACLE_BOUNDS,
-        metavar="OBJ,MOR",
-        help="refusal bounds for the brute-force oracle",
-    )
-    seed.add_argument("--seed", type=int, default=0, help="seed for generated fixtures")
+    def option(flag, **kw):
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **kw)
+        return parent
+
+    out = option("--out", help="write the certificate here instead of stdout")
+    closure = option("--closure-bound", type=_non_negative, default=DEFAULT_CLOSURE_BOUND)
+    oracle = dict(type=_parse_bounds, metavar="OBJ,MOR", help="refusal bounds for the brute-force oracle")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def add_parser(name, *options, **kw):
@@ -330,7 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("limits", closure, help="finite-limit existence report")
     p.add_argument("--category", required=True)
 
-    p = add_parser("adjoint", closure, oracle, help="brute-force left adjoint oracle")
+    p = add_parser(
+        "adjoint", closure, option("--oracle-bounds", default=adjoint.ORACLE_BOUNDS, **oracle),
+        help="brute-force left adjoint oracle",
+    )
     p.add_argument("--functor", required=True)
 
     p = add_parser("gaft", closure, help="decide a left adjoint via comma categories")
@@ -364,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-set-size", type=_non_negative, default=2)
 
-    p = add_parser("corpus", oracle, seed, help="run a named invariant sweep")
+    # unset unless given: each suite keeps its own defaults, and a suite
+    # that does not read a given option refuses it
+    p = add_parser(
+        "corpus", option("--oracle-bounds", **oracle), option("--seed", type=int, help="seed for generated fixtures"),
+        help="run a named invariant sweep",
+    )
     p.add_argument("suite", choices=list(sweeps.SUITES))
     return ap
 

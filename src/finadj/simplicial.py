@@ -14,9 +14,9 @@ n = 3 because nerves have discrete mapping data.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Union
 
 from .fincat import DEFAULT_CLOSURE_BOUND, CategoryError, FinCategory, check_shape, search
@@ -80,39 +80,57 @@ class TruncSSet:
 
     # The lifting tables below depend on K alone, and a value is never
     # changed after construction, so each is computed once per value and
-    # shared by every `initial_by_lifting` query on it.
+    # shared by every query on it: one face table, and the groupings
+    # `_by_faces` reads from it on demand.
 
     @cached_property
     def _is_nerve(self) -> bool:
         return inner_horn_check(self)
 
     @cached_property
-    def _edges(self) -> dict[tuple[str, str], list[FaceValue]]:
-        return _edge_values(self)
+    def _face_table(self) -> tuple[dict, list[tuple[int, ...]], list[int]]:
+        """Every value of dimension 0..3, degenerate ones included, numbered
+        in order of dimension: the number of each value, the face numbers of
+        each number, and where each dimension's numbers start.  A vertex has
+        one face, -1, the empty simplex that all vertices share."""
+        number, value, faces, start, lifts = {}, [], [], [], {}
+
+        def s(j, w):  # the number of s_j applied to the value numbered w
+            if (j, w) not in lifts:
+                lifts[j, w] = number[_apply_degs((j,), value[w])]
+            return lifts[j, w]
+
+        for n in range(4):
+            start.append(len(faces))
+            for v in _values(self, n):
+                number[v] = len(faces)
+                value.append(v)
+                if n == 0:
+                    faces.append((-1,))
+                elif isinstance(v, str):
+                    faces.append(tuple(number[f] for f in self.faces[v]))
+                else:  # v = s_j u: d_i s_j is s_{j-1} d_i, id or s_j d_{i-1}, as in `face`
+                    j, u = v.ops[0], number[_apply_degs(v.ops[1:], v.of)]
+                    fu = faces[u]
+                    faces.append(tuple(
+                        s(j - 1, fu[i]) if i < j else u if i <= j + 1 else s(j, fu[i - 1]) for i in range(n + 1)
+                    ))
+        return number, faces, start + [len(faces)]
 
     @cached_property
-    def _two_faces(self) -> dict[FaceValue, tuple[FaceValue, ...]]:
-        """Every 2-value with its faces (d0, d1, d2)."""
-        return {v: tuple(face(self, v, i) for i in range(3)) for v in _two_values(self)}
+    def _groups(self) -> dict:
+        return {}
 
-    @cached_property
-    def _two_by_d2(self) -> dict[FaceValue, list]:
-        by_d2: dict[FaceValue, list] = {}
-        for v, fs in self._two_faces.items():
-            by_d2.setdefault(fs[2], []).append((v, fs))
-        return by_d2
-
-    @cached_property
-    def _two_by_d2_d1(self) -> dict[tuple, list]:
-        by_d2_d1: dict[tuple, list] = {}
-        for v, fs in self._two_faces.items():
-            by_d2_d1.setdefault((fs[2], fs[1]), []).append((v, fs))
-        return by_d2_d1
-
-    @cached_property
-    def _three_faces(self) -> Counter:
-        """How many 3-values have each tuple of faces (d0, d1, d2, d3)."""
-        return Counter(tuple(face(self, v, i) for i in range(4)) for v in _three_values(self))
+    def _by_faces(self, n: int, J: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
+        """The numbers of the n-values grouped by their faces at positions J."""
+        if (n, J) not in self._groups:
+            _, faces, start = self._face_table
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in range(start[n], start[n + 1]):
+                fv = faces[v]
+                groups.setdefault(tuple([fv[j] for j in J]), []).append(v)
+            self._groups[n, J] = groups
+        return self._groups[n, J]
 
     def to_dict(self) -> dict:
         def enc(v):
@@ -463,80 +481,66 @@ def vertex_slice(K: TruncSSet, x: str, under: bool = False) -> TruncSSet:
 # -- boundary lifting ---------------------------------------------------------
 
 
-def _edge_values(K: TruncSSet) -> dict[tuple[str, str], list[FaceValue]]:
-    out: dict[tuple[str, str], list[FaceValue]] = {}
-    for e in K.ids(1):
-        out.setdefault((face(K, e, 1), face(K, e, 0)), []).append(e)
-    for v in K.ids(0):
-        out.setdefault((v, v), []).append(Degenerate(v, (0,)))
-    return out
-
-
-def _two_values(K: TruncSSet) -> list[FaceValue]:
-    vals: list[FaceValue] = list(K.ids(2))
-    for e in K.ids(1):
-        vals += [Degenerate(e, (0,)), Degenerate(e, (1,))]
-    vals += [Degenerate(v, (1, 0)) for v in K.ids(0)]
+def _values(K: TruncSSet, n: int) -> list[FaceValue]:
+    """The n-values of K: each k-simplex under each strictly decreasing
+    degeneracy word of length n - k."""
+    vals: list[FaceValue] = list(K.ids(n))
+    for k in range(n):
+        for ops in combinations(range(n - 1, -1, -1), n - k):
+            vals += [Degenerate(s, ops) for s in K.ids(k)]
     return vals
 
 
-def _three_values(K: TruncSSet) -> list[FaceValue]:
-    vals: list[FaceValue] = list(K.ids(3))
-    for s in K.ids(2):
-        vals += [Degenerate(s, (j,)) for j in (0, 1, 2)]
-    for e in K.ids(1):
-        vals += [Degenerate(e, ops) for ops in ((1, 0), (2, 0), (2, 1))]
-    vals += [Degenerate(v, (2, 1, 0)) for v in K.ids(0)]
-    return vals
+def _filler_counts(K: TruncSSet, n: int, J, x: str | None = None):
+    """For every map into K from the faces J of Δⁿ, with vertex 0 sent to x
+    if x is given, the number of n-values of K that extend it.
+
+    A map is one (n-1)-value per face j in J, and faces agree where they
+    meet: d_i of face j is d_{j-1} of face i for i < j.  The faces are
+    chosen from the highest j down, each among the (n-1)-values grouped by
+    their faces at the positions that the faces already chosen fix, so no
+    map is built only to be refused.  With x, the highest face must be some
+    j >= 1: it holds vertex 0, so it starts at x.
+    """
+    J = tuple(sorted(J, reverse=True))
+    number, faces, _ = K._face_table
+    if x is None:
+        maps, placed = [()], 0
+    else:
+        maps, placed = [(w,) for w in _starting_at(K, n - 1, number[x])], 1
+    for t in range(placed, len(J)):
+        table = K._by_faces(n - 1, tuple(j - 1 for j in J[:t]))
+        maps = [m + (w,) for m in maps for w in table.get(tuple([faces[f][J[t]] for f in m]), ())]
+    fillers = K._by_faces(n, J)
+    return (len(fillers.get(m, ())) for m in maps)
+
+
+def _starting_at(K: TruncSSet, n: int, x: int) -> list[int]:
+    """The numbers of the n-values whose vertex 0 is the vertex numbered x:
+    vertex 0 of an n-value is vertex 0 of its face n."""
+    if n == 0:
+        return [x]
+    table = K._by_faces(n, (n,))
+    return [v for w in _starting_at(K, n - 1, x) for v in table.get((w,), ())]
 
 
 def inner_horn_check(K: TruncSSet) -> bool:
-    """Unique fillers for the inner horns of dimensions 2 and 3.
+    """Unique fillers for the inner horns of dimensions 2 and 3: every map
+    from Λ²₁, Λ³₁ or Λ³₂ into K extends to exactly one simplex value.
 
     Nerves of categories pass; uniqueness comes from the composition table.
     """
-    by_d2_d0 = Counter((d2, d0) for d0, _, d2 in K._two_faces.values())
-    edges = K._edges
-    for (a, b), e01s in edges.items():
-        for (b2, c), e12s in edges.items():
-            if b2 != b:
-                continue
-            for e01 in e01s:
-                for e12 in e12s:
-                    if by_d2_d0[(e01, e12)] != 1:
-                        return False
-    count_023: Counter = Counter()
-    count_013: Counter = Counter()
-    for (d0, d1, d2, d3), k in K._three_faces.items():
-        count_023[(d0, d2, d3)] += k
-        count_013[(d0, d1, d3)] += k
-    by_d2 = K._two_by_d2
-    for s3, (e12, e02, e01) in K._two_faces.items():
-        # Lambda^3_1 horns containing s3 as face 3
-        for s2, (e13, e03, _) in by_d2.get(e01, ()):
-            for s0, (e23, e13b, e12b) in by_d2.get(e12, ()):
-                if e13b != e13:
-                    continue
-                if count_023[(s0, s2, s3)] != 1:
-                    return False
-        # Lambda^3_2 horns containing s3 as face 3
-        for s1, (e23, e03, e02b) in by_d2.get(e02, ()):
-            for s0, (e23b, e13, e12b) in by_d2.get(e12, ()):
-                if e23b != e23:
-                    continue
-                if count_013[(s0, s1, s3)] != 1:
-                    return False
-    return True
+    horns = [(2, (0, 2)), (3, (0, 2, 3)), (3, (0, 1, 3))]
+    return all(count == 1 for n, J in horns for count in _filler_counts(K, n, J))
 
 
 def initial_by_lifting(K: TruncSSet, x: str, nmax: int = 3) -> bool:
     """Whether every boundary sphere anchored at x extends to a filler.
 
-    Enumerates all maps from the n-sphere boundary into K with vertex 0 at
-    x, for 1 <= n <= nmax, and looks the filler up among all (possibly
-    degenerate) simplex values.  K must look like a nerve, as certified by
-    the inner-horn check.  The tables of K are built on the first query and
-    reused by later ones; only the spheres anchored at x are walked here.
+    Every map from ∂Δⁿ into K with vertex 0 at x, for 1 <= n <= nmax, must
+    extend to some (possibly degenerate) n-value.  K must look like a nerve,
+    as certified by the inner-horn check.  The tables of K are built on the
+    first query and reused by later ones.
     """
     if not (K.has(x) and K.dim(x) == 0):
         raise SimplicialError(f"{x!r} is not a vertex")
@@ -544,32 +548,7 @@ def initial_by_lifting(K: TruncSSet, x: str, nmax: int = 3) -> bool:
         raise SimplicialError("nmax must be between 1 and 3")
     if not K._is_nerve:
         raise NotANerve("inner horns do not have unique fillers")
-    edges = K._edges
-    if any((x, v) not in edges for v in K.ids(0)):
-        return False
-    if nmax == 1:
-        return True
-    by_d2_d1 = K._two_by_d2_d1
-    for v1 in K.ids(0):
-        for v2 in K.ids(0):
-            for e01 in edges[(x, v1)]:
-                for e02 in edges[(x, v2)]:
-                    for e12 in edges.get((v1, v2), ()):
-                        if not any(fs[0] == e12 for _, fs in by_d2_d1.get((e01, e02), ())):
-                            return False
-    if nmax == 2:
-        return True
-    by_d2, have_three = K._two_by_d2, K._three_faces
-    anchored = (s for v1 in K.ids(0) for e01 in edges[(x, v1)] for s in by_d2.get(e01, ()))
-    for s3, (e12, e02, e01) in anchored:
-        for s2, (e13, e03, _) in by_d2.get(e01, ()):
-            for s1, (e23, e03b, e02b) in by_d2_d1.get((e02, e03), ()):
-                for s0, (e23b, e13b, e12b) in by_d2_d1.get((e12, e13), ()):
-                    if e23b != e23:
-                        continue
-                    if (s0, s1, s2, s3) not in have_three:
-                        return False
-    return True
+    return all(all(_filler_counts(K, n, range(n + 1), x)) for n in range(1, nmax + 1))
 
 
 # -- isomorphism --------------------------------------------------------------

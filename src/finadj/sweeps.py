@@ -22,9 +22,6 @@ from .fincat import (
     opposite,
 )
 
-SUITES = ("posets4", "fixtures", "enriched", "oracle")
-
-
 @dataclass
 class Tally:
     """What one invariant checked."""
@@ -210,7 +207,7 @@ def reflection_pool() -> list[tuple[str, FinCategory]]:
 REFLECTION_DRAWS = 200  # all must qualify for `check_initial_reflection`
 
 
-def generate_reflection_functors(seed: int = 0):
+def generate_reflection_functors(seed: int):
     """Seeded stream of REFLECTION_DRAWS functors whose profiles meet all
     four hypotheses.  Every draw is named and listed, but a repeated draw
     lists the functor value its first draw built, so each is inflated once."""
@@ -267,7 +264,7 @@ def check_pz2_divergence() -> Tally:
     return t
 
 
-def check_initial_reflection(seed: int = 0) -> Tally:
+def check_initial_reflection(seed: int) -> Tally:
     """Initial objects are reflected by the REFLECTION_DRAWS generated
     functors meeting the four hypotheses, and no claim is made for the pz2
     comparison functor, which misses one of them."""
@@ -446,13 +443,5 @@ def enriched_sweep() -> dict:
     return _report("enriched", tallies, enriched_functors=len(efs))
 
 
-def run_suite(suite: str, seed: int = 0, oracle_bounds: tuple[int, int] = adjoint.ORACLE_BOUNDS) -> dict:
-    if suite == "posets4":
-        return posets4_sweep()
-    if suite == "fixtures":
-        return fixtures_sweep(seed=seed)
-    if suite == "enriched":
-        return enriched_sweep()
-    if suite == "oracle":
-        return oracle_sweep(oracle_bounds)
-    raise ValueError(f"unknown suite {suite!r}")
+# each suite's keyword parameters are the options it reads
+SUITES = {"posets4": posets4_sweep, "fixtures": fixtures_sweep, "enriched": enriched_sweep, "oracle": oracle_sweep}

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import copy
+import functools
 import hashlib
 import importlib.util
 import inspect
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finadj import cli, corpus
+from finadj import cli, corpus, sweeps
 from finadj.cli import run
 from finadj.enriched import gcat_to_dict
 from finadj.simplicial import boundary_simplex
@@ -226,6 +227,33 @@ def test_each_verb_takes_exactly_the_shared_options_it_reads(capsys):
                     cli._PARSER.parse_args(argv + [flag, value])
                 assert exc.value.code == 2, (verb, flag)
                 assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# the shared options each corpus suite reads
+SUITE_READS = {"posets4": [], "fixtures": ["--seed"], "enriched": [], "oracle": ["--oracle-bounds"]}
+
+
+@pytest.mark.parametrize(
+    "suite,flag",
+    [(suite, flag) for suite, reads in SUITE_READS.items() for flag in ("--seed", "--oracle-bounds") if flag not in reads],
+)
+def test_corpus_refuses_an_option_its_suite_does_not_read(suite, flag, monkeypatch):
+    def must_not_run(**options):
+        raise AssertionError(f"{suite} ran")
+
+    monkeypatch.setitem(sweeps.SUITES, suite, functools.wraps(sweeps.SUITES[suite])(must_not_run))
+    assert _captured(["corpus", suite, flag, SHARED[flag]]) == (2, "", f"error: corpus {suite} does not read {flag}\n")
+
+
+def test_corpus_passes_each_suite_the_options_it_reads(files, monkeypatch):
+    assert list(SUITE_READS) == list(sweeps.SUITES)
+    tmp_path, _, _ = files
+    seeds, draw = [], sweeps.generate_reflection_functors
+    monkeypatch.setattr(sweeps, "generate_reflection_functors", lambda seed: seeds.append(seed) or draw(seed))
+    code, cert = _run_to(tmp_path, ["corpus", "fixtures", "--seed", "7"])
+    assert code == 0 and cert["verdict"] == "pass" and seeds == [7]
+    # zero bounds refuse the oracle's first instance, so they reached the oracle
+    assert run(["corpus", "oracle", "--oracle-bounds", "0,0"]) == 3
 
 
 def test_adjoint_verb_runs_the_oracle(files):

@@ -24,6 +24,7 @@ from finadj.simplicial import (
     tau1,
     validate_sset,
     vertex_slice,
+    _values,
 )
 
 CATS = corpus.categories()
@@ -70,6 +71,43 @@ def test_inner_horns_have_unique_fillers_matching_the_table():
                 assert fillers == [f + "|" + g], (name, f, g)
 
 
+def _chain4_nerve():
+    chain4 = corpus.poset_category(
+        ["0", "1", "2", "3"],
+        [(str(i), str(j)) for i in range(4) for j in range(i + 1, 4)],
+    )
+    return nerve(chain4)
+
+
+def _edited(K, n, drop=(), copies=()):
+    """K with the n-simplices in `drop` removed and each (new_id, old_id) in
+    `copies` added as a second n-simplex with the faces of old_id."""
+    ids = tuple(s for s in K.ids(n) if s not in drop) + tuple(new for new, _ in copies)
+    faces = {s: fs for s, fs in K.faces.items() if s not in drop}
+    faces.update({new: K.faces[old] for new, old in copies})
+    out = TruncSSet({**K.simplices, n: ids}, faces)
+    validate_sset(out)
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["3-simplex dropped", "3-simplex duplicated", "2-simplex duplicated"],
+)
+def test_inner_horn_check_rejects_missing_and_repeated_fillers(case):
+    chain4 = _chain4_nerve()
+    (top,) = chain4.ids(3)
+    K = {
+        # the Lambda^3_1 and Lambda^3_2 horns of 0<1<2<3 have no filler
+        "3-simplex dropped": lambda: _edited(chain4, 3, drop=(top,)),
+        # ... or two of them
+        "3-simplex duplicated": lambda: _edited(chain4, 3, copies=(("t'", top),)),
+        # the Lambda^2_1 horn of 0<1<2 has two fillers
+        "2-simplex duplicated": lambda: _edited(nerve(CATS["chain3"]), 2, copies=(("t'", "0<1|1<2"),)),
+    }[case]()
+    assert not inner_horn_check(K)
+
+
 def test_join_point_of_simplices():
     assert isomorphic(join_point(standard_simplex(0)).sset, standard_simplex(1))
     assert isomorphic(join_point(standard_simplex(1)).sset, standard_simplex(2))
@@ -83,11 +121,7 @@ def test_join_point_of_nerve_two_is_nerve_chain3():
 
 
 def test_join_point_flags_truncation_loss():
-    chain4 = corpus.poset_category(
-        ["0", "1", "2", "3"],
-        [(str(i), str(j)) for i in range(4) for j in range(i + 1, 4)],
-    )
-    K = nerve(chain4)
+    K = _chain4_nerve()
     assert len(K.ids(3)) == 1
     assert join_point(K).truncation_loss
 
@@ -224,6 +258,28 @@ def test_lifting_tables_shared_across_queries_match_fresh_nerves():
         rng.shuffle(queries)
         for x, n in queries:
             assert initial_by_lifting(K, x, n) == initial_by_lifting(nerve(C), x, n), (name, x, n)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_values_are_the_composable_strings(n):
+    for name, C in sweeps.sweep_corpus_categories():
+        arrows = [m.id for m in C.morphisms]
+        ending = {x: 1 for x in C.objects}  # strings of k morphisms ending at each object
+        for _ in range(n):
+            ending = {x: sum(ending[C.src(f)] for f in arrows if C.dst(f) == x) for x in C.objects}
+        values = _values(nerve(C), n)
+        assert len(values) == len(set(values)) == sum(ending.values()), (name, n)
+
+
+def test_face_table_agrees_with_face():
+    # the table derives the faces of degenerate values from the simplicial
+    # identities; cones add degenerate faces to nondegenerate simplices
+    for _, C in sweeps.sweep_corpus_categories():
+        for K in (nerve(C), join_point(nerve(C)).sset):
+            number, faces, _ = K._face_table
+            for n in (1, 2, 3):
+                for v in _values(K, n):
+                    assert faces[number[v]] == tuple(number[face(K, v, i)] for i in range(n + 1))
 
 
 def test_face_pushes_through_degeneracies():
