@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterator, Mapping
 
 from . import limits
@@ -24,10 +25,14 @@ from .fincat import (
     FinFunctor,
     UnknownObject,
     check_shape,
+    functor_space,
     minimal_sets,
     opposite,
     opposite_functor,
+    search,
 )
+
+MAX_SET_SIZE = 2  # `exhaustive_representability_check`'s default bound on value sets
 
 
 class CoproductAbsent(CategoryError):
@@ -268,7 +273,24 @@ class BrownPropertyReport:
         return not self.counterexamples
 
 
-def exhaustive_representability_check(C: FinCategory, max_set_size: int = 2) -> BrownPropertyReport:
+def set_functors(C: FinCategory, max_set_size: int) -> Iterator[SetFunctor]:
+    """Every contravariant functor from C to sets of at most k =
+    `max_set_size` elements, F(x) = (x#0, x#1, ...), in `functor_space`
+    order.  The sets 0..k give only what `functor_space` reads, a map being
+    the tuple of its values: as a `FinCategory` they hold (k^k)^2 composites."""
+    sets = SimpleNamespace(
+        objects=range(max_set_size + 1),
+        id_of=lambda n: tuple(range(n)),
+        hom=lambda n, m: list(itertools.product(range(m), repeat=n)),
+        compose=lambda g, f: tuple(g[i] for i in f),
+    )
+    for a in search(*functor_space(opposite(C), sets)):
+        at = {x: tuple(f"{x}#{i}" for i in range(a[("o", x)])) for x in C.objects}
+        restrict = {m.id: dict(zip(at[m.dst], [at[m.src][i] for i in a[("m", m.id)]])) for m in C.morphisms}
+        yield SetFunctor(C, at, restrict)
+
+
+def exhaustive_representability_check(C: FinCategory, max_set_size: int = MAX_SET_SIZE) -> BrownPropertyReport:
     """Experimentally test whether both conditions force representability.
 
     Enumerates every contravariant set-valued functor with value sets of at
@@ -278,46 +300,21 @@ def exhaustive_representability_check(C: FinCategory, max_set_size: int = 2) -> 
     with an initial object and binary coproducts, and there B1 alone forces
     representability, so `passing_both == representable` is a theorem.
     """
-    elements = lambda x, k: tuple(f"{x}#{i}" for i in range(k))
-    nonid = C.nonidentity()
     checked = passing = representable = 0
     counterexamples = []
-    for sizes in itertools.product(range(max_set_size + 1), repeat=len(C.objects)):
-        on_objects = {x: elements(x, k) for x, k in zip(C.objects, sizes)}
-        table_choices = []
-        for m in nonid:
-            dom = on_objects[C.dst(m)]
-            cod = on_objects[C.src(m)]
-            if dom and not cod:
-                table_choices.append([])
-                continue
-            table_choices.append(
-                [dict(zip(dom, combo)) for combo in itertools.product(cod, repeat=len(dom))]
-            )
-        if any(not ch for ch in table_choices):
+    for F in set_functors(C, max_set_size):
+        checked += 1
+        try:
+            both = check_B1(C, F).ok and check_B2(C, F).ok
+        except (CoproductAbsent, PushoutAbsent) as exc:
+            raise ColimitAbsent(str(exc)) from exc
+        if not both:
             continue
-        for combo in itertools.product(*table_choices):
-            on_morphisms = {m: dict(t) for m, t in zip(nonid, combo)}
-            for x in C.objects:
-                on_morphisms[C.id_of(x)] = {a: a for a in on_objects[x]}
-            try:
-                F = validate_set_functor(
-                    C, {"on_objects": on_objects, "on_morphisms": on_morphisms}
-                )
-            except CategoryError:
-                continue
-            checked += 1
-            try:
-                both = check_B1(C, F).ok and check_B2(C, F).ok
-            except (CoproductAbsent, PushoutAbsent) as exc:
-                raise ColimitAbsent(str(exc)) from exc
-            if not both:
-                continue
-            passing += 1
-            if representability_search(C, F).found:
-                representable += 1
-            elif len(counterexamples) < 5:
-                counterexamples.append({"on_objects": {x: list(v) for x, v in on_objects.items()}})
+        passing += 1
+        if representability_search(C, F).found:
+            representable += 1
+        elif len(counterexamples) < 5:
+            counterexamples.append({"on_objects": {x: list(v) for x, v in F.on_objects.items()}})
     return BrownPropertyReport(checked, passing, representable, tuple(counterexamples))
 
 

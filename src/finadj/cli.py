@@ -89,12 +89,12 @@ def _gfunctor_arg(args, inputs: _Inputs):
     return enriched.validate_gfunctor(inputs.load("gfunctor", args.gfunctor))
 
 
+# the input kinds `validate` reads, one file each
+_VALIDATE_KINDS = ("category", "functor", "gcat", "gfunctor", "sset", "setfunctor")
+
+
 def _run_validate(args, inputs: _Inputs) -> dict:
-    chosen = {
-        flag
-        for flag in ("category", "functor", "gcat", "gfunctor", "sset", "setfunctor")
-        if getattr(args, flag, None)
-    }
+    chosen = {kind for kind in _VALIDATE_KINDS if getattr(args, kind)}
     if chosen == {"setfunctor", "category"}:
         kind = "setfunctor"
     elif len(chosen) == 1:
@@ -225,40 +225,53 @@ def _run_classify(args, inputs: _Inputs) -> dict:
     return _certificate("classify_object", verdict, {"object": args.object}, inputs)
 
 
+# brown's input files; for each --check, the inputs it needs and the options
+# it takes besides: any other input given is refused
+_BROWN_FILES = ("category", "setfunctor", "functor")
+_BROWN_INPUTS = {
+    "represent": (("category", "setfunctor"), ()),
+    "b1": (("category", "setfunctor"), ()),
+    "b2": (("category", "setfunctor"), ()),
+    "b1p-b2p": (("functor",), ()),
+    "generators": (("category",), ()),
+    "exhaustive": (("category",), ("max_set_size",)),
+}
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
 def _run_brown(args, inputs: _Inputs) -> dict:
-    needs = {"b1p-b2p": ("functor",)}.get(args.check, ("category",))
-    if args.check in ("b1", "b2", "represent"):
-        needs = ("category", "setfunctor")
-    for flag in needs:
-        if getattr(args, flag, None) is None:
-            raise UsageError(f"brown --check {args.check} needs --{flag}")
+    needs, takes = _BROWN_INPUTS[args.check]
+    given = [name for name in _BROWN_FILES + ("max_set_size",) if getattr(args, name) is not None]
+    missing = [name for name in needs if name not in given]
+    if missing:
+        raise UsageError(f"brown --check {args.check} needs {_flags(missing)}")
+    unread = [name for name in given if name not in needs + takes]
+    if unread:
+        raise UsageError(f"brown --check {args.check} does not read {_flags(unread)}")
+    if args.check == "b1p-b2p":
+        rep = brown.check_B1p_B2p(_functor_arg(args, inputs))
+        return _certificate("check_B1p_B2p", rep.ok, {"witness": rep.witness}, inputs)
+    C = _category_arg(args, inputs)
     if args.check == "generators":
-        C = _category_arg(args, inputs)
-        gens = brown.weak_generators(C)
-        return _certificate("weak_generators", [list(g) for g in gens], {}, inputs)
+        return _certificate("weak_generators", [list(g) for g in brown.weak_generators(C)], {}, inputs)
     if args.check == "exhaustive":
-        C = _category_arg(args, inputs)
-        rep = brown.exhaustive_representability_check(C, args.max_set_size)
+        size = brown.MAX_SET_SIZE if args.max_set_size is None else args.max_set_size
+        rep = brown.exhaustive_representability_check(C, size)
         witness = {
             "functors_checked": rep.functors_checked,
             "passing_both": rep.passing_both,
             "representable": rep.representable,
             "counterexamples": list(rep.counterexamples),
-            "scope": f"value sets of at most {args.max_set_size} elements; experimental",
+            "scope": f"value sets of at most {size} elements; experimental",
         }
         return _certificate("exhaustive_representability_check", rep.holds, witness, inputs)
-    if args.check == "b1p-b2p":
-        F = _functor_arg(args, inputs)
-        rep = brown.check_B1p_B2p(F)
-        return _certificate("check_B1p_B2p", rep.ok, {"witness": rep.witness}, inputs)
-    C = _category_arg(args, inputs)
     F = brown.validate_set_functor(C, inputs.load("setfunctor", args.setfunctor))
-    if args.check == "b1":
-        rep = brown.check_B1(C, F)
-        return _certificate("check_B1", rep.ok, {"witness": rep.witness}, inputs)
-    if args.check == "b2":
-        rep = brown.check_B2(C, F)
-        return _certificate("check_B2", rep.ok, {"witness": rep.witness}, inputs)
+    if args.check in ("b1", "b2"):
+        rep = brown.check_B1(C, F) if args.check == "b1" else brown.check_B2(C, F)
+        return _certificate(f"check_{args.check.upper()}", rep.ok, {"witness": rep.witness}, inputs)
     res = brown.representability_search(C, F)
     witness = {
         "representing": res.representing,
@@ -279,11 +292,13 @@ def _run_corpus(args, inputs: _Inputs) -> dict:
     given = {name: value for name, value in given.items() if value is not None}
     unread = sorted(given.keys() - inspect.signature(sweep).parameters.keys())
     if unread:
-        flags = ", ".join("--" + name.replace("_", "-") for name in unread)
-        raise UsageError(f"corpus {args.suite} does not read {flags}")
+        raise UsageError(f"corpus {args.suite} does not read {_flags(unread)}")
     report = sweep(**given)
     verdict = "pass" if report["failures"] == 0 else "fail"
-    return _certificate(f"corpus_{args.suite}", verdict, report, inputs)
+    cert = _certificate(f"corpus_{args.suite}", verdict, report, inputs)
+    if given:  # absent when every option is the suite's default
+        cert["provenance"]["options"] = given
+    return cert
 
 
 def _non_negative(text: str) -> int:
@@ -323,12 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         return sub.add_parser(name, parents=[out, *options], **kw)
 
     p = add_parser("validate", closure, help="validate an input file")
-    p.add_argument("--category")
-    p.add_argument("--functor")
-    p.add_argument("--gcat")
-    p.add_argument("--gfunctor")
-    p.add_argument("--sset")
-    p.add_argument("--setfunctor")
+    for kind in _VALIDATE_KINDS:
+        p.add_argument("--" + kind)
 
     p = add_parser("initial", closure, help="initial and terminal objects")
     p.add_argument("--category", required=True)
@@ -363,15 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--object", required=True)
 
     p = add_parser("brown", closure, help="representability checks")
-    p.add_argument("--category")
-    p.add_argument("--setfunctor")
-    p.add_argument("--functor")
-    p.add_argument(
-        "--check",
-        choices=["represent", "b1", "b2", "b1p-b2p", "generators", "exhaustive"],
-        default="represent",
-    )
-    p.add_argument("--max-set-size", type=_non_negative, default=2)
+    for kind in _BROWN_FILES:
+        p.add_argument("--" + kind)
+    p.add_argument("--check", choices=list(_BROWN_INPUTS), default="represent")
+    p.add_argument("--max-set-size", type=_non_negative)  # unset unless given
 
     # unset unless given: each suite keeps its own defaults, and a suite
     # that does not read a given option refuses it

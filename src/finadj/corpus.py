@@ -193,6 +193,15 @@ def monotone_maps(P: FinCategory, Q: FinCategory):
         yield monotone_functor(P, Q, obj_map)
 
 
+def poset_maps(n: int) -> list[tuple[str, FinFunctor]]:
+    """Every monotone map between posets of at most n elements, the k-th
+    from the i-th poset to the j-th labelled poset{i}->poset{j}#{k}."""
+    posets = list(enumerate(posets_up_to(n)))
+    return [
+        (f"poset{i}->poset{j}#{k}", G) for i, P in posets for j, Q in posets for k, G in enumerate(monotone_maps(P, Q))
+    ]
+
+
 # -- curated functor instances for the oracle ---------------------------------
 
 

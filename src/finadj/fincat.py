@@ -710,7 +710,7 @@ def functor_space(C: FinCategory, D: FinCategory, objects: Mapping | None = None
     ends, and a compose constraint is checked as soon as its three
     morphisms are bound, before the objects after them.  Only compose
     entries with no identity factor are constraints; the forced identities
-    meet the others."""
+    meet the others.  D needs only `objects`, `id_of`, `hom` and `compose`."""
     pos = C._obj_index
     after: list[list[Morphism]] = [[] for _ in C.objects]  # nonidentities by their later end
     for m in C.morphisms:
@@ -748,6 +748,15 @@ def minimal_sets(items: Sequence[str], holds: Callable[[tuple[str, ...]], bool])
     return out
 
 
+def find(parent: list[int], a: int) -> int:
+    """The root of a's class in the union-find forest `parent`, halving the
+    path; each caller keeps its own union step."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
+
+
 def components(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[list[str]]:
     """Connected components of an undirected graph, by union-find.
 
@@ -756,21 +765,14 @@ def components(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[l
     """
     index = {x: i for i, x in enumerate(nodes)}
     parent = list(range(len(index)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for a, b in edges:
-        ra, rb = find(index[a]), find(index[b])
+        ra, rb = find(parent, index[a]), find(parent, index[b])
         if ra != rb:
             # the least index stays the root, so roots order the components
             parent[max(ra, rb)] = min(ra, rb)
     groups: dict[int, list[str]] = {}
     for x in nodes:
-        groups.setdefault(find(index[x]), []).append(x)
+        groups.setdefault(find(parent, index[x]), []).append(x)
     return list(groups.values())
 
 

@@ -26,6 +26,7 @@ from .fincat import (
     MissingComposite,
     UnknownObject,
     build_category,
+    find,
 )
 
 Path = tuple[str, ...]
@@ -42,12 +43,6 @@ class _Closure:
         self.step: list[dict[str, int]] = []
         self.live = 0
 
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
     def new_class(self, src: str, dst: str, witness: Path) -> int:
         idx = len(self.parent)
         self.parent.append(idx)
@@ -63,10 +58,10 @@ class _Closure:
         return idx
 
     def multiply(self, cls: int, gen: str, gen_dst: dict[str, str]) -> int:
-        cls = self.find(cls)
+        cls = find(self.parent, cls)
         nxt = self.step[cls].get(gen)
         if nxt is not None:
-            return self.find(nxt)
+            return find(self.parent, nxt)
         idx = self.new_class(self.src[cls], gen_dst[gen], self.witness[cls] + (gen,))
         self.step[cls][gen] = idx
         return idx
@@ -74,14 +69,13 @@ class _Closure:
     def fold(self, cls: int, path: Path, gen_dst: dict[str, str]) -> int:
         for gen in path:
             cls = self.multiply(cls, gen, gen_dst)
-        return self.find(cls)
+        return find(self.parent, cls)
 
-    def merge(self, a: int, b: int) -> bool:
+    def merge(self, a: int, b: int) -> None:
         queue = [(a, b)]
-        merged = False
         while queue:
             x, y = queue.pop()
-            x, y = self.find(x), self.find(y)
+            x, y = find(self.parent, x), find(self.parent, y)
             if x == y:
                 continue
             if y < x:
@@ -90,7 +84,6 @@ class _Closure:
                 raise MissingComposite("presentation equates non-parallel morphisms")
             self.parent[y] = x
             self.live -= 1
-            merged = True
             for gen, tgt in self.step[y].items():
                 cur = self.step[x].get(gen)
                 if cur is None:
@@ -98,10 +91,9 @@ class _Closure:
                 else:
                     queue.append((cur, tgt))
             self.step[y] = {}
-        return merged
 
     def roots(self) -> list[int]:
-        return [i for i in range(len(self.parent)) if self.find(i) == i]
+        return [i for i in range(len(self.parent)) if find(self.parent, i) == i]
 
 
 def close_presentation(
@@ -148,12 +140,12 @@ def close_presentation(
         # complete the multiplication table on the current classes
         for root in st.roots():
             for g, s, _ in gens:
-                if st.dst[root] == s and g not in st.step[st.find(root)]:
+                if st.dst[root] == s and g not in st.step[find(st.parent, root)]:
                     st.multiply(root, g, gen_dst)
                     changed = True
         # enforce every relation in every left context
         for root in st.roots():
-            root = st.find(root)
+            root = find(st.parent, root)
             for src, lhs, rhs in rels:
                 if st.dst[root] != src:
                     continue
@@ -166,7 +158,6 @@ def close_presentation(
     # name the classes deterministically: identities, then generator
     # classes by first declared generator, then composites by witness
     roots = st.roots()
-    root_of_gen = {g: st.fold(id_cls[s], (g,), gen_dst) for g, s, _ in gens}
     names: dict[int, str] = {}
     taken: set[str] = set()
 
@@ -178,12 +169,12 @@ def close_presentation(
 
     ordered: list[int] = []
     for x in objects:
-        r = st.find(id_cls[x])
+        r = find(st.parent, id_cls[x])
         if r not in names:
             names[r] = claim(identity_names[x])
             ordered.append(r)
-    for g, _, _ in gens:
-        r = st.find(root_of_gen[g])
+    for g, s, _ in gens:
+        r = st.fold(id_cls[s], (g,), gen_dst)
         if r not in names:
             names[r] = claim(g)
             ordered.append(r)
@@ -192,7 +183,7 @@ def close_presentation(
             names[r] = claim("∘".join(reversed(st.witness[r])))
             ordered.append(r)
 
-    identity = {x: names[st.find(id_cls[x])] for x in objects}
+    identity = {x: names[find(st.parent, id_cls[x])] for x in objects}
     morphisms = [(names[r], st.src[r], st.dst[r]) for r in ordered]
     compose = {}
     for a in ordered:
@@ -201,5 +192,5 @@ def close_presentation(
                 continue
             c = st.fold(a, st.witness[b], gen_dst)
             # entry is (g, f) -> g o f with f first in diagrammatic order
-            compose[(names[st.find(b)], names[a])] = names[c]
+            compose[(names[find(st.parent, b)], names[a])] = names[c]
     return build_category(objects, morphisms, identity, compose)

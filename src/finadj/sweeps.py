@@ -63,12 +63,7 @@ def check_gaft_oracle_agreement(oracle_bounds: tuple[int, int] = adjoint.ORACLE_
     the curated non-poset instances.  Certificates are re-verified and must
     be one of the oracle's (functor, unit) pairs."""
     t = Tally()
-    posets = corpus.posets_up_to(4)
-    instances = []
-    for i, P in enumerate(posets):
-        for j, Q in enumerate(posets):
-            for k, G in enumerate(corpus.monotone_maps(P, Q)):
-                instances.append((f"poset{i}->poset{j}#{k}", G))
+    instances = corpus.poset_maps(4)
     curated = corpus.curated_oracle_functors()
     t.details = {"poset_instances": len(instances), "curated_instances": len(curated)}
     for name, G in instances + curated:

@@ -72,8 +72,7 @@ COMMA_DIGEST = "5c1b1cb037ec43b90439f6ae4456110180fe86e1ac4ffd427380b8dcb9acea9a
 
 def test_commas_are_pinned():
     functors = [G for _, G in corpus.curated_oracle_functors()]
-    posets = corpus.posets_up_to(3)
-    functors += [G for P in posets for Q in posets for G in corpus.monotone_maps(P, Q)]
+    functors += [G for _, G in corpus.poset_maps(3)]
     functors += [identity_functor(C) for C in CATS.values()]
     digest = hashlib.sha256()
     for G in functors:
@@ -219,11 +218,7 @@ ORACLE_PAIRS_DIGEST = "1af9806b9903bdd8c451db03a6856ec9d1393e8aa0d15e5178ca8feaf
 
 
 def test_oracle_pairs_are_pinned():
-    instances = corpus.curated_oracle_functors()
-    posets = corpus.posets_up_to(3)
-    for i, P in enumerate(posets):
-        for j, Q in enumerate(posets):
-            instances += [(f"poset{i}->poset{j}#{k}", G) for k, G in enumerate(corpus.monotone_maps(P, Q))]
+    instances = corpus.curated_oracle_functors() + corpus.poset_maps(3)
     rows = [
         [label, [[list(F.obj_map.items()), list(F.mor_map.items()), list(u.items())] for F, u in brute_force_left_adjoint(G, 4, 16).pairs]]
         for label, G in instances

@@ -256,6 +256,62 @@ def test_corpus_passes_each_suite_the_options_it_reads(files, monkeypatch):
     assert run(["corpus", "oracle", "--oracle-bounds", "0,0"]) == 3
 
 
+def test_corpus_certificates_record_the_options_given(files):
+    tmp_path, _, _ = files
+    code, seeded = _run_to(tmp_path, ["corpus", "fixtures", "--seed", "7"])
+    assert code == 0 and seeded["provenance"].pop("options") == {"seed": 7}
+    code, default = _run_to(tmp_path, ["corpus", "fixtures"])
+    assert code == 0 and seeded == default
+
+
+# the inputs each brown check reads, and a value for every brown input
+BROWN_READS = {
+    "represent": ["--category", "--setfunctor"],
+    "b1": ["--category", "--setfunctor"],
+    "b2": ["--category", "--setfunctor"],
+    "b1p-b2p": ["--functor"],
+    "generators": ["--category"],
+    "exhaustive": ["--category", "--max-set-size"],
+}
+BROWN_INPUTS = {"--category": "two.json", "--setfunctor": "setf.json", "--functor": "g.json", "--max-set-size": "3"}
+
+
+def _brown_argv(check, flags, paths):
+    argv = ["brown", "--check", check]
+    for flag in flags:
+        argv += [flag, paths.get(BROWN_INPUTS[flag], BROWN_INPUTS[flag])]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "check,flag",
+    [(check, flag) for check, reads in BROWN_READS.items() for flag in BROWN_INPUTS if flag not in reads],
+)
+def test_brown_refuses_an_input_its_check_does_not_read(files, monkeypatch, check, flag):
+    _, paths, _ = files
+    argv = _brown_argv(check, BROWN_READS[check] + [flag], paths)
+    monkeypatch.setattr(cli, "_load_json", lambda path: pytest.fail(f"{path} was read"))
+    assert _captured(argv) == (2, "", f"error: brown --check {check} does not read {flag}\n")
+
+
+@pytest.mark.parametrize(
+    "check,flag",
+    [(check, flag) for check, reads in BROWN_READS.items() for flag in reads if flag != "--max-set-size"],
+)
+def test_brown_names_a_missing_input(files, monkeypatch, check, flag):
+    _, paths, _ = files
+    argv = _brown_argv(check, [f for f in BROWN_READS[check] if f != flag], paths)
+    monkeypatch.setattr(cli, "_load_json", lambda path: pytest.fail(f"{path} was read"))
+    assert _captured(argv) == (2, "", f"error: brown --check {check} needs {flag}\n")
+
+
+def test_brown_exhaustive_reads_the_set_size_given(files):
+    tmp_path, paths, _ = files
+    code, cert = _run_to(tmp_path, _brown_argv("exhaustive", BROWN_READS["exhaustive"], paths))
+    assert code == 0 and cert["verdict"] is True
+    assert cert["witness"]["scope"] == "value sets of at most 3 elements; experimental"
+
+
 def test_adjoint_verb_runs_the_oracle(files):
     tmp_path, paths, _ = files
     code, cert = _run_to(tmp_path, ["adjoint", "--functor", paths["g.json"]])
