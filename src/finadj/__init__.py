@@ -29,7 +29,6 @@ from .limits import (
     has_finite_limits,
     initial_objects,
     limit,
-    limit_of_identity,
     preserves_limits,
     terminal_objects,
     weakly_initial_sets,
@@ -50,7 +49,6 @@ from .enriched import (
     comparison_functor,
     enriched_comma_under,
     gaft_fin_decide,
-    h_initial_condition,
     homotopy_adjoint_compare,
     homotopy_category,
     initial_reflection_check,

@@ -108,33 +108,6 @@ def hom_functor(C: FinCategory, a: str) -> SetFunctor:
     return SetFunctor(C, on_objects, on_morphisms)
 
 
-def _cocones(C: FinCategory, kind: str) -> Iterator[tuple[tuple[str, str], list[limits.Cone]]]:
-    """Each pair of objects of C with its coproduct cocones (`kind`
-    "products"), or each span with its pushout cocones ("pullbacks"): the
-    limits of opposite(C), in `limits._limit_instances` order.  B1, B2,
-    B1' and B2' read their source's colimits from it.
-
-    The table is kept in C's instance dictionary, as
-    `functools.cached_property` keeps `FinCategory._inverse`, so every check
-    against C reads the cocones one computation found.  It is filled one
-    entry at a time, only as far as a check reads.  Every check raises at
-    an entry without cocones, so no colimit past an absent one is computed.
-    """
-    table = vars(C).get(f"_brown_{kind}")
-    if table is None:
-        Cop = opposite(C)
-        pending = ((data, limits.limit(Cop, d)) for _, data, d in limits._limit_instances(Cop, kind))
-        table = vars(C)[f"_brown_{kind}"] = ([], pending)
-    read, pending = table
-    for i in itertools.count():
-        if i == len(read):
-            entry = next(pending, None)
-            if entry is None:
-                return
-            read.append(entry)
-        yield read[i]
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     ok: bool
@@ -153,7 +126,7 @@ def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
             return ConditionReport(
                 False, {"family": [], "reason": f"F({i}) has {len(F.at(i))} elements"}
             )
-    for (x, y), cocones in _cocones(C, "products"):
+    for _, (x, y), cocones in limits.limit_cones(opposite(C), "products"):
         if not cocones:
             raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
         for cc in cocones:
@@ -179,7 +152,7 @@ def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
     """Every pushout square must map to a weak pullback: the canonical map
     to the fiber product of sets must be surjective.  A pushout is a
     pullback in the opposite."""
-    for (f, g), pos in _cocones(C, "pullbacks"):
+    for _, (f, g), pos in limits.limit_cones(opposite(C), "pullbacks"):
         if not pos:
             raise PushoutAbsent(f"no pushout of the span ({f!r}, {g!r})")
         for cc in pos:
@@ -339,11 +312,11 @@ def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
             )
     Fop = opposite_functor(F)
     for kind, colimit, weak in (("products", "coproduct", False), ("pullbacks", "pushout", True)):
-        for data, ls in _cocones(C, kind):
+        for _, data, ls in limits.limit_cones(opposite(C), kind):
             if not ls:
                 raise ColimitAbsent(f"source has no {colimit} of ({data[0]!r}, {data[1]!r})")
             for cc in ls:
-                img = limits._image_cone(Fop, cc)
+                img = limits.image_cone(Fop, cc)
                 if not limits.is_limit_cone(Fop.target, img, weak=weak):
                     return ConditionReport(
                         False, {"colimit": [colimit, *data], "image_apex": img.apex}

@@ -311,13 +311,9 @@ def check_gfunctor(F: GpdFunctor) -> None:
         _law(f"hom {x}|{y}", check_functor_laws, FinFunctor(g, target, cell_map, arrow_map))
 
 
-def validate_gfunctor(raw: dict, S: GpdCategory | None = None, T: GpdCategory | None = None) -> GpdFunctor:
-    shape = _GFUNCTOR_SHAPE if S is not None and T is not None else _GFUNCTOR_FILE_SHAPE
-    _law("input", check_shape, raw, shape)
-    if S is None:
-        S = validate_gcat(raw["source"])
-    if T is None:
-        T = validate_gcat(raw["target"])
+def validate_gfunctor(raw: dict) -> GpdFunctor:
+    _law("input", check_shape, raw, _GFUNCTOR_FILE_SHAPE)
+    S, T = validate_gcat(raw["source"]), validate_gcat(raw["target"])
     F = GpdFunctor(S, T, dict(raw["obj_map"]), dict(raw["cell_map"]), dict(raw["arrow_map"]))
     check_gfunctor(F)
     return F
@@ -590,12 +586,6 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
 
 
 @dataclass(frozen=True)
-class HInitialReport:
-    holds: bool
-    witnesses: dict[str, str | None]  # anchor -> h-initial comma object
-
-
-@dataclass(frozen=True)
 class GaftFinResult:
     exists: bool
     table: dict[str, dict]
@@ -625,13 +615,6 @@ class InvarianceReport:
     transfer_up_ok: bool
     enriched_set: tuple[str, ...]
     ordinary_set: tuple[str, ...]
-
-
-def h_initial_condition(G: GpdFunctor) -> HInitialReport:
-    """The first h-initial object of each enriched comma, read from the
-    `"h_initial"` column of `gaft_fin_decide`'s table."""
-    witnesses = {c: row["h_initial"] for c, row in gaft_fin_decide(G).table.items()}
-    return HInitialReport(all(w is not None for w in witnesses.values()), witnesses)
 
 
 def gaft_fin_decide(G: GpdFunctor) -> GaftFinResult:

@@ -375,7 +375,8 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
     `raw` carries the keys "objects", "morphisms", "identities", "compose".
     If the compose table only covers some composable pairs, the remaining
     composites are synthesized by congruence closure over the declared
-    generators, subject to `closure_bound`.
+    generators, subject to `closure_bound`; entries that force two declared
+    morphisms equal are refused.
     """
     check_shape(raw, _CATEGORY_SHAPE)
     objects = list(raw["objects"])
@@ -454,6 +455,9 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
         identity_names={x: identity[x] for x in objects},
         bound=closure_bound,
     )
+    lost = [mid for mid in ids if not C.has_morphism(mid)]
+    if lost:
+        raise MissingComposite(f"compose entries make declared morphisms {lost} equal to others")
     check_laws(C)
     return C
 
@@ -485,13 +489,17 @@ def hom_set(C: FinCategory, x: str, y: str) -> tuple[str, ...]:
 
 
 def opposite(C: FinCategory) -> FinCategory:
-    """Reverse every morphism.  An involution: opposite(opposite(C)) == C."""
-    return build_category(
-        C.objects,
-        ((m.id, m.dst, m.src) for m in C.morphisms),
-        C.identity,
-        {(f, g): h for (g, f), h in C.compose_table.items()},
-    )
+    """Reverse every morphism.  An involution: opposite(opposite(C)) == C,
+    though not the same value: the opposite is built on first use and kept
+    in C's instance dictionary, as `_inverse` is kept, with no link back to C."""
+    if "_opposite" not in vars(C):
+        vars(C)["_opposite"] = build_category(
+            C.objects,
+            ((m.id, m.dst, m.src) for m in C.morphisms),
+            C.identity,
+            {(f, g): h for (g, f), h in C.compose_table.items()},
+        )
+    return vars(C)["_opposite"]
 
 
 # -- functors ------------------------------------------------------------
@@ -552,18 +560,14 @@ def check_functor_laws(F: FinFunctor) -> None:
             raise NotFunctorial(f"composite {g} o {f} is not preserved")
 
 
-def validate_functor(raw: Mapping, C: FinCategory | None = None, D: FinCategory | None = None) -> FinFunctor:
-    """Validate functor data, extending a generator-level morphism map.
+def validate_functor(raw: Mapping, C: FinCategory, D: FinCategory) -> FinFunctor:
+    """Validate a functor from C to D, extending a generator-level morphism map.
 
     Identities are filled in from the object map and missing composites are
     saturated from the declared entries; any conflict or unreachable
     morphism raises NotFunctorial naming the offender.
     """
-    check_shape(raw, _FUNCTOR_SHAPE if C is not None and D is not None else FUNCTOR_FILE_SHAPE)
-    if C is None:
-        C = validate_category(raw["source"])
-    if D is None:
-        D = validate_category(raw["target"])
+    check_shape(raw, _FUNCTOR_SHAPE)
     obj_map = dict(raw["obj_map"])
     for x in C.objects:
         if x not in obj_map:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .fincat import (
     CategoryError,
@@ -149,16 +150,6 @@ def identity_limit_cones(C: FinCategory) -> list[Cone]:
     return limit(C, identity_functor(C))
 
 
-def limit_of_identity(C: FinCategory) -> Cone | None:
-    """A limit cone over the identity diagram, if one exists.
-
-    The apex set of all such cones coincides with `initial_objects`; the
-    first cone in canonical order is returned.
-    """
-    ls = identity_limit_cones(C)
-    return ls[0] if ls else None
-
-
 def equalizer_cones(C: FinCategory, f: str, g: str) -> list[Cone]:
     return limit(C, parallel_diagram(C, f, g))
 
@@ -167,13 +158,13 @@ def has_finite_limits(C: FinCategory) -> FiniteLimitsReport:
     """Check the generating triple: terminal object, binary products,
     equalizers.  The witness names the first missing limit."""
     for kind in ("terminal", "products", "equalizers"):
-        for name, data, diagram in _limit_instances(C, kind):
-            if not limit(C, diagram):
+        for name, data, ls in limit_cones(C, kind):
+            if not ls:
                 return FiniteLimitsReport(False, (name, *data))
     return FiniteLimitsReport(True, None)
 
 
-def _image_cone(G: FinFunctor, cone: Cone) -> Cone:
+def image_cone(G: FinFunctor, cone: Cone) -> Cone:
     return Cone(
         compose_functors(G, cone.diagram),
         G.obj_map[cone.apex],
@@ -181,7 +172,7 @@ def _image_cone(G: FinFunctor, cone: Cone) -> Cone:
     )
 
 
-def _limit_instances(C: FinCategory, kind: str):
+def limit_instances(C: FinCategory, kind: str):
     if kind == "terminal":
         yield ("terminal", (), empty_diagram(C))
     elif kind == "products":
@@ -205,6 +196,28 @@ def _limit_instances(C: FinCategory, kind: str):
 KINDS = ("terminal", "products", "equalizers", "pullbacks")
 
 
+def limit_cones(C: FinCategory, kind: str) -> Iterator[tuple[str, tuple, list[Cone]]]:
+    """(name, data, limit cones) for each instance of `kind`, in
+    `limit_instances` order; C's colimits are the table of `opposite(C)`.
+    The table is kept in C's instance dictionary, as `_inverse` is kept, so
+    readers of C's limits, interleaved or not, read the cones one computation
+    found.  It is filled one instance at a time, only as far as a reader
+    reads: a reader that stops at an instance without cones computes none past it."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown limit kind {kind!r}")
+    key = f"_limit_cones_{kind}"
+    if key not in vars(C):
+        vars(C)[key] = ([], ((name, data, limit(C, d)) for name, data, d in limit_instances(C, kind)))
+    read, pending = vars(C)[key]
+    for i in itertools.count():
+        if i == len(read):
+            entry = next(pending, None)
+            if entry is None:
+                return
+            read.append(entry)
+        yield read[i]
+
+
 def preserves_limits(G: FinFunctor, kind: str = "all-finite") -> PreservationReport:
     """Whether G sends every limit cone of the given kind to a limit cone.
 
@@ -214,12 +227,11 @@ def preserves_limits(G: FinFunctor, kind: str = "all-finite") -> PreservationRep
     kinds = KINDS if kind == "all-finite" else (kind,)
     C = G.source
     for k in kinds:
-        for name, data, diagram in _limit_instances(C, k):
-            ls = limit(C, diagram)
+        for name, data, ls in limit_cones(C, k):
             if not ls:
                 raise LimitAbsentInSource(f"source has no {name} for {data}")
             for cone in ls:
-                img = _image_cone(G, cone)
+                img = image_cone(G, cone)
                 if not is_limit_cone(G.target, img):
                     return PreservationReport(
                         False, {"kind": name, "data": data, "apex": img.apex}

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from finadj import cli, corpus, sweeps
 from finadj.cli import run
 from finadj.enriched import gcat_to_dict
+from finadj.fincat import identity_functor
 from finadj.simplicial import boundary_simplex
 
 
@@ -125,6 +126,24 @@ def test_validate_reports_invalid_without_failing(files):
     assert code == 0
     assert cert["verdict"] == "invalid"
     assert cert["witness"]["error"] == "IdentityViolation"
+
+
+def test_validate_refuses_a_table_that_makes_declared_morphisms_equal(files):
+    tmp_path, _, write = files
+    # partial, so closed: s o s = id and t o s = s force t = id
+    path = write(
+        "merging.json",
+        {
+            "objects": ["*"],
+            "morphisms": [{"id": m, "src": "*", "dst": "*"} for m in ("id_*", "s", "t")],
+            "identities": {"*": "id_*"},
+            "compose": [["s", "s", "id_*"], ["t", "t", "id_*"], ["t", "s", "s"]],
+        },
+    )
+    code, cert = _run_to(tmp_path, ["validate", "--category", path])
+    assert code == 0 and cert["verdict"] == "invalid"
+    assert cert["witness"]["error"] == "MissingComposite" and "['t']" in cert["witness"]["message"]
+    assert run(["nerve", "--category", path]) == 2
 
 
 def test_parse_errors_exit_two(files, capsys):
@@ -310,6 +329,20 @@ def test_brown_exhaustive_reads_the_set_size_given(files):
     code, cert = _run_to(tmp_path, _brown_argv("exhaustive", BROWN_READS["exhaustive"], paths))
     assert code == 0 and cert["verdict"] is True
     assert cert["witness"]["scope"] == "value sets of at most 3 elements; experimental"
+
+
+def test_brown_b1p_b2p_verdicts(files):
+    tmp_path, _, write = files
+
+    def argv(name, F):
+        return ["brown", "--check", "b1p-b2p", "--functor", write(f"{name}.json", F.to_dict())]
+
+    code, cert = _run_to(tmp_path, argv("diamond", identity_functor(corpus.diamond())))
+    assert code == 0 and cert["verdict"] is True
+    code, cert = _run_to(tmp_path, argv("pick1", corpus.functor(corpus.one(), corpus.two(), {"*": "1"})))
+    assert code == 0 and cert["verdict"] is False
+    assert cert["witness"] == {"witness": {"colimit": "empty coproduct", "image": "1"}}
+    assert _captured(argv("wedge", identity_functor(corpus.wedge()))) == (2, "", "error: ColimitAbsent: source has no coproduct of ('x', 'y')\n")
 
 
 def test_adjoint_verb_runs_the_oracle(files):

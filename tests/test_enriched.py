@@ -14,13 +14,11 @@ from finadj.enriched import (
     check_gfunctor,
     classify_object,
     comparison_functor,
-    compose_gfunctors,
     embed,
     embed_functor,
     enriched_comma_under,
     gaft_fin_decide,
     gcat_to_dict,
-    h_initial_condition,
     homotopy_adjoint_compare,
     homotopy_category,
     homotopy_functor,
@@ -228,14 +226,12 @@ def test_gfunctor_without_its_categories_needs_source_and_target():
         validate_gfunctor({"source": gcat_to_dict(F.source), **maps})
     with pytest.raises(GpdLawViolation, match=r"^input: \$\.source\.objects: expected a list, got int$"):
         validate_gfunctor({"source": {"objects": 5}, "target": gcat_to_dict(F.target), **maps})
-    # with both categories passed in, the file keys are not needed
-    assert validate_gfunctor(maps, F.source, F.target) == F
+    assert validate_gfunctor({"source": gcat_to_dict(F.source), "target": gcat_to_dict(F.target), **maps}) == F
 
 
 def test_homotopy_category_of_embedding_is_identity():
-    for name in ("one", "two", "chain3", "diamond", "pp", "iso2", "z2", "free_boundary"):
-        C = CATS[name]
-        assert homotopy_category(embed(C)).category == C, name
+    tally = sweeps.check_homotopy_of_embedding(CATS)
+    assert tally.checks == 8 and not tally.failures
 
 
 def test_homotopy_category_of_pz2_is_the_arrow():
@@ -308,11 +304,13 @@ def test_enriched_comma_of_embedded_identity_is_discrete():
 
 
 def test_h_initial_condition_examples():
-    assert h_initial_condition(embed_functor(identity_functor(CATS["chain3"]))).holds
-    rep = h_initial_condition(corpus.pz2_pick_y())
-    assert not rep.holds and rep.witnesses["x"] is None
+    def h_initial(G):
+        return {c: row["h_initial"] for c, row in gaft_fin_decide(G).table.items()}
+
+    assert None not in h_initial(embed_functor(identity_functor(CATS["chain3"]))).values()
+    assert h_initial(corpus.pz2_pick_y())["x"] is None
     pick_top = embed_functor(corpus.functor(CATS["one"], CATS["chain3"], {"*": "2"}))
-    assert h_initial_condition(pick_top).holds
+    assert None not in h_initial(pick_top).values()
 
 
 def test_gaft_fin_on_the_fixture():
@@ -397,14 +395,6 @@ def test_pz2_comma_quotient_lacks_equalizers():
     assert equalizer_cones(h, h.id_of(o), nonid) == []
 
 
-def test_solution_set_invariance_with_witness_transfer():
-    for name, G in corpus.enriched_functors():
-        for c in G.target.objects:
-            rep = solution_set_invariance(G, c)
-            assert rep.enriched_has_set == rep.ordinary_has_set, (name, c)
-            assert rep.transfer_down_ok and rep.transfer_up_ok, (name, c)
-
-
 # (enriched_set, ordinary_set) per anchor, taken from the release before the
 # ordinary comma was built through fincat.category_over
 INVARIANCE_SETS = {
@@ -436,12 +426,8 @@ def test_weakly_initial_object_sets_on_pz2():
 
 
 def test_homotopy_functoriality_on_composable_embeddings():
-    F1 = embed_functor(corpus.monotone_functor(CATS["two"], CATS["chain3"], {"0": "0", "1": "2"}))
-    F2 = embed_functor(corpus.monotone_functor(CATS["chain3"], CATS["two"], {"0": "0", "1": "1", "2": "1"}))
-    lhs = homotopy_functor(compose_gfunctors(F2, F1))
-    h1, h2 = homotopy_functor(F1), homotopy_functor(F2)
-    assert lhs.obj_map == {x: h2.obj_map[y] for x, y in h1.obj_map.items()}
-    assert lhs.mor_map == {m: h2.mor_map[n] for m, n in h1.mor_map.items()}
+    tally = sweeps.check_homotopy_functoriality(CATS)
+    assert tally.checks == 1 and not tally.failures
 
 
 def _table_mutants(doc, path, ids):

@@ -1,18 +1,19 @@
 import itertools
+import json
 import re
 from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from finadj import corpus
+from finadj import corpus, sweeps
+from finadj.cli import run
 from finadj.fincat import (
     AssociativityViolation,
     ClosureBoundExceeded,
     IdentityViolation,
     MissingComposite,
     NotFunctorial,
-    ShapeError,
     UnknownObject,
     CategoryError,
     FinCategory,
@@ -33,6 +34,7 @@ from finadj.fincat import (
     opposite,
     opposite_functor,
     search,
+    small_category,
     validate_category,
     validate_functor,
 )
@@ -130,6 +132,48 @@ def test_closure_respects_declared_relations():
     assert C == corpus.z2()
 
 
+def test_closure_of_two_loops_is_the_cyclic_group_of_order_four():
+    # t o t = s with s o s = id: merging classes carries their steps over
+    C = small_category(["*"], [("s", "*", "*"), ("t", "*", "*")], [("s", "s", "id_*"), ("t", "t", "s")])
+    assert C.morphism_ids() == ("id_*", "s", "t", "t∘s")
+    assert all(C.is_iso(m) for m in C.morphism_ids())
+
+
+def test_closure_of_a_retraction_has_an_idempotent():
+    C = small_category(["0", "1"], [("a", "0", "1"), ("b", "1", "0")], [("b", "a", "id_0")])
+    assert len(C.morphisms) == 5
+    e = C.compose("a", "b")
+    assert not C.is_identity(e) and C.compose(e, e) == e
+
+
+def test_closure_refuses_to_equate_non_parallel_morphisms():
+    arrows = [("a", "0", "1"), ("b", "1", "2"), ("c", "0", "1")]
+    with pytest.raises(MissingComposite, match="^presentation equates non-parallel morphisms$"):
+        small_category(["0", "1", "2"], arrows, [("b", "a", "c")])
+
+
+def test_partial_table_that_makes_declared_morphisms_equal_is_refused():
+    # the closure would merge t into id_*, leaving the declared t out
+    raw = {
+        "objects": ["*"],
+        "morphisms": [{"id": m, "src": "*", "dst": "*"} for m in ("id_*", "s", "t")],
+        "identities": {"*": "id_*"},
+        "compose": [["s", "s", "id_*"], ["t", "t", "id_*"], ["t", "s", "s"]],
+    }
+    with pytest.raises(MissingComposite, match=r"declared morphisms \['t'\]"):
+        validate_category(raw)
+    # made total, the same entries break associativity
+    raw["compose"].append(["s", "t", "s"])
+    with pytest.raises(AssociativityViolation):
+        validate_category(raw)
+
+
+def test_opposite_is_built_once_per_value():
+    for name, C in sweeps.sweep_corpus_categories():
+        assert opposite(C) is opposite(C), name
+        assert opposite(opposite(C)) == C and opposite(opposite(C)) is not C, name
+
+
 def test_opposite_reverses_and_is_involutive():
     C = corpus.chain3()
     op = opposite(C)
@@ -138,10 +182,8 @@ def test_opposite_reverses_and_is_involutive():
 
 
 def test_opposite_swaps_initial_and_terminal_corpus_wide():
-    from finadj.limits import initial_objects, terminal_objects
-
-    for C in CATS.values():
-        assert initial_objects(opposite(C)) == terminal_objects(C)
+    tally = sweeps.check_opposite_duality(sweeps.sweep_corpus_categories())
+    assert tally.checks == 39 and not tally.failures
 
 
 def test_hom_set_examples():
@@ -193,15 +235,22 @@ def test_composite_to_non_composite_is_not_functorial():
         )
 
 
-def test_functor_without_its_categories_needs_source_and_target():
-    with pytest.raises(ShapeError, match=r"^\$: missing key 'source'$"):
-        validate_functor({"obj_map": {}})
-    with pytest.raises(ShapeError, match=r"^\$: missing key 'target'$"):
-        validate_functor({"source": corpus.one().to_dict(), "obj_map": {}})
-    # the path names the category inside the functor file
-    with pytest.raises(ShapeError, match=r"^\$\.target: missing key 'morphisms'$"):
-        validate_functor({"source": corpus.one().to_dict(), "target": {"objects": []}, "obj_map": {}})
-    # with both categories passed in, the file keys are not needed
+def test_functor_without_its_categories_needs_source_and_target(tmp_path):
+    one = corpus.one().to_dict()
+    cases = [
+        ({"obj_map": {}}, "$: missing key 'source'"),
+        ({"source": one, "obj_map": {}}, "$: missing key 'target'"),
+        # the path names the category inside the functor file
+        ({"source": one, "target": {"objects": []}, "obj_map": {}}, "$.target: missing key 'morphisms'"),
+    ]
+    for raw, message in cases:
+        path, out = tmp_path / "functor.json", tmp_path / "out.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert run(["validate", "--functor", str(path), "--out", str(out)]) == 0
+        cert = json.loads(out.read_text(encoding="utf-8"))
+        assert cert["verdict"] == "invalid"
+        assert cert["witness"] == {"error": "ShapeError", "message": message}
+    # given its categories, a functor needs only its maps
     F = validate_functor({"obj_map": {"*": "*"}}, CATS["one"], CATS["one"])
     assert F.mor_map == {"id_*": "id_*"}
 

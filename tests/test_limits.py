@@ -1,14 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from finadj import corpus
+from finadj import corpus, enriched, limits, sweeps
 from finadj.fincat import identity_functor, opposite
 from finadj.limits import (
     KINDS,
     LimitAbsentInSource,
-    _limit_instances,
     cones,
     cospan_diagram,
     empty_diagram,
@@ -18,10 +18,10 @@ from finadj.limits import (
     initial_objects,
     is_weakly_initial,
     limit,
-    limit_of_identity,
+    limit_cones,
+    limit_instances,
     pair_diagram,
     preserves_limits,
-    terminal_objects,
     weakly_initial_sets,
 )
 
@@ -63,15 +63,8 @@ def test_parallel_pair_in_free_boundary_has_no_equalizer():
 
 
 def test_limit_of_identity_examples():
-    cone = limit_of_identity(CATS["chain3"])
-    assert cone is not None and cone.apex == "0"
-    assert limit_of_identity(CATS["disc2"]) is None
-
-
-def test_identity_limit_apexes_match_initial_objects_corpus_wide():
-    for name, C in CATS.items():
-        apexes = sorted({c.apex for c in identity_limit_cones(C)})
-        assert apexes == sorted(initial_objects(C)), name
+    assert [c.apex for c in identity_limit_cones(CATS["chain3"])] == ["0"]
+    assert identity_limit_cones(CATS["disc2"]) == []
 
 
 def test_has_finite_limits_reports():
@@ -82,12 +75,6 @@ def test_has_finite_limits_reports():
     assert not r.ok and r.missing == ("product", "x", "y")
     r = has_finite_limits(CATS["pp"])
     assert not r.ok
-
-
-def test_finite_limits_imply_initial_on_corpus():
-    for name, C in CATS.items():
-        if has_finite_limits(C).ok:
-            assert initial_objects(C), name
 
 
 def test_preserves_limits_examples():
@@ -104,6 +91,31 @@ def test_preserves_limits_requires_source_limits():
     F = identity_functor(CATS["pp"])
     with pytest.raises(LimitAbsentInSource):
         preserves_limits(F, "equalizers")
+
+
+def test_limit_cones_are_computed_once_per_value():
+    C = corpus.diamond()
+    first = list(limit_cones(C, "products"))
+    assert first == [(name, data, limit(C, d)) for name, data, d in limit_instances(C, "products")]
+    assert all(a is b for a, b in zip(first, limit_cones(C, "products")))
+    for _ in range(2):  # an unknown kind leaves no table behind
+        with pytest.raises(ValueError):
+            list(limit_cones(C, "coequalizers"))
+
+
+def test_compare_computes_each_limit_of_its_source_once(monkeypatch):
+    # has_finite_limits and preserves_limits read one table of the source
+    calls, limit_ = [], limits.limit
+
+    def recording_limit(C, diagram, **kw):
+        # the call holds C, so no id is reused
+        calls.append((C, tuple(diagram.obj_map.items()), tuple(diagram.mor_map.items())))
+        return limit_(C, diagram, **kw)
+
+    monkeypatch.setattr(limits, "limit", recording_limit)
+    enriched.homotopy_adjoint_compare(enriched.embed_functor(identity_functor(corpus.diamond())))
+    counts = Counter((id(C), obj, mor) for C, obj, mor in calls)
+    assert len(calls) == 36 and max(counts.values()) == 1
 
 
 def test_weakly_initial_sets_examples():
@@ -142,11 +154,8 @@ def test_span_without_completion_has_no_weak_pushout():
 
 
 def test_poset_weak_pushouts_equal_pushouts():
-    for P in corpus.posets_up_to(3):
-        for f in P.morphisms:
-            for g in P.morphisms:
-                if f.src == g.src:
-                    assert _pushouts(P, f.id, g.id, weak=True) == _pushouts(P, f.id, g.id)
+    tally = sweeps.check_poset_weak_pushouts(sweeps.sweep_corpus_categories())
+    assert tally.checks == 25 and not tally.failures
 
 
 def test_group_spans_have_multiple_pushout_cocones():
@@ -199,7 +208,7 @@ def _cones_reference(C, diagram):
 def test_cones_match_product_and_filter(name):
     for C in (CATS[name], opposite(CATS[name])):
         for kind in KINDS:
-            for _, _, diagram in _limit_instances(C, kind):
+            for _, _, diagram in limit_instances(C, kind):
                 found = [(c.apex, c.legs) for c in cones(C, diagram)]
                 assert found == _cones_reference(C, diagram), (name, kind)
                 assert all(list(legs) == list(diagram.source.objects) for _, legs in found)
