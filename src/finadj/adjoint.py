@@ -3,10 +3,11 @@
 The decision procedure mirrors the universal-arrow characterization: a
 functor G admits a left adjoint exactly when each comma category under an
 anchor object has an initial object.  Initiality in a comma is decided by
-the `limits` module on the comma built as a first-class finite category, so
-there is a single code path and a single oracle for it.  Each comma is
-built once; the adjoint assembled from the initial objects is re-checked by
-`verify_adjunction`, whose hom bijections are exactly their initiality.
+`limits.initial_objects` on the comma's objects and hom sets, so there is a
+single criterion and a single oracle for it.  The composition table, which
+initiality never reads, is built only by `comma_under`.  The adjoint
+assembled from the initial objects is re-checked by `verify_adjunction`,
+whose hom bijections are exactly their initiality.
 
 `brute_force_left_adjoint` is the independent check: it enumerates every
 candidate functor and unit within configured bounds and verifies the hom
@@ -16,6 +17,7 @@ bijections directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import limits
 from .fincat import (
@@ -117,6 +119,26 @@ class CoinitialityRecord:
     has_initial: bool
 
 
+def _under(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], list[tuple[str, int, int]]]:
+    """The comma under c as plain data: its objects (d, u), in the order
+    `comma_under` names them, and its morphisms (phi, i, j), from the i-th
+    object to the j-th, in the order `comma_under` lists them."""
+    D, C = G.source, G.target
+    if not C.has_object(c):
+        raise UnknownObject(f"{c!r} is not an object of the target")
+    objects = [(d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])]
+    index = {pair: i for i, pair in enumerate(objects)}
+    out: dict[str, list] = {}  # the morphisms of D by source, in declared order
+    for phi in D.morphisms:
+        out.setdefault(phi.src, []).append(phi)
+    arrows = [
+        (phi.id, i, index[(phi.dst, C.compose(G.mor_map[phi.id], u))])
+        for i, (d, u) in enumerate(objects)
+        for phi in out.get(d, ())
+    ]
+    return objects, arrows
+
+
 def comma_under(G: FinFunctor, c: str) -> Comma:
     """The comma category of morphisms out of c into values of G.
 
@@ -125,20 +147,12 @@ def comma_under(G: FinFunctor, c: str) -> Comma:
     a name; a morphism (d, u) -> (d', u') is a morphism phi: d -> d' of
     the source of G with G(phi) o u == u'.
     """
-    D, C = G.source, G.target
-    if not C.has_object(c):
-        raise UnknownObject(f"{c!r} is not an object of the target")
-    first = {d: escape(d, ",") for d in D.objects}
-    pairs = {f"({first[d]},{u})": (d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])}
-    by_pair = {pair: o for o, pair in pairs.items()}
-    arrows = [
-        (phi.id, o, by_pair[(phi.dst, C.compose(G.mor_map[phi.id], u))])
-        for o, (d, u) in pairs.items()
-        for phi in D.morphisms
-        if phi.src == d
-    ]
-    P = category_over(D, {o: d for o, (d, _) in pairs.items()}, arrows)
-    return Comma(P.source, P, pairs)
+    objects, arrows = _under(G, c)
+    first = {d: escape(d, ",") for d in G.source.objects}
+    names = [f"({first[d]},{u})" for d, u in objects]
+    over = {o: d for o, (d, _) in zip(names, objects)}
+    P = category_over(G.source, over, [(phi, names[i], names[j]) for phi, i, j in arrows])
+    return Comma(P.source, P, dict(zip(names, objects)))
 
 
 def comma_over(F: FinFunctor, d: str) -> Comma:
@@ -250,18 +264,25 @@ def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
 def gaft_decide(G: FinFunctor) -> GaftResult:
     """Decide left-adjoint existence through initial comma objects.
 
-    On success the adjoint is constructed from the canonically least
-    initial object of each comma and the certificate is verified before
+    Initiality is decided by `limits.initial_objects` on the objects and
+    hom sets of each comma under an anchor; no composition table is built,
+    since initiality never reads one (`comma_under` builds the full comma).
+    On success the adjoint is constructed from the first initial object of
+    each comma, in comma order, and the certificate is verified before
     being returned.  On failure the witness anchor is reported.
     """
     C = G.target
     witnesses = {}
     for c in C.objects:
-        comma = comma_under(G, c)
-        init = limits.initial_objects(comma.base)
+        objects, arrows = _under(G, c)
+        hom: dict[tuple[int, int], list[str]] = {}
+        for phi, i, j in arrows:
+            hom.setdefault((i, j), []).append(phi)
+        view = SimpleNamespace(objects=range(len(objects)), hom=lambda i, j: hom.get((i, j), ()))
+        init = limits.initial_objects(view)
         if not init:
             return GaftResult(False, None, c)
-        witnesses[c] = comma.pairs[init[0]]
+        witnesses[c] = objects[init[0]]
     return GaftResult(True, construct_left_adjoint(G, witnesses), None)
 
 

@@ -411,6 +411,11 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
             raise MissingComposite(f"compose entry ({g}, {f}) -> {gf} references unknown morphisms")
         if endpoints[f][1] != endpoints[g][0]:
             raise MissingComposite(f"compose entry ({g}, {f}) is not composable")
+        (src, _), (_, dst), ends = endpoints[f], endpoints[g], endpoints[gf]
+        if ends != (src, dst):
+            raise MissingComposite(
+                f"compose({g}, {f}) = {gf} has endpoints {ends[0]!r}->{ends[1]!r}, expected {src!r}->{dst!r}"
+            )
         if table.get((g, f), gf) != gf:
             raise MissingComposite(f"conflicting compose entries for ({g}, {f})")
         table[(g, f)] = gf

@@ -138,7 +138,8 @@ def limit(C: FinCategory, diagram: FinFunctor, *, weak: bool = False) -> list[Co
 
 
 def initial_objects(C: FinCategory) -> list[str]:
-    """Objects with exactly one morphism to every object."""
+    """Objects with exactly one morphism to every object.  Reads only
+    `C.objects` and `C.hom`, so any value with those two will do."""
     return [x for x in C.objects if all(len(C.hom(x, y)) == 1 for y in C.objects)]
 
 

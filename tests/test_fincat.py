@@ -38,6 +38,7 @@ from finadj.fincat import (
     validate_category,
     validate_functor,
 )
+from finadj.presentation import close_presentation
 
 CATS = corpus.categories()
 
@@ -148,8 +149,12 @@ def test_closure_of_a_retraction_has_an_idempotent():
 
 def test_closure_refuses_to_equate_non_parallel_morphisms():
     arrows = [("a", "0", "1"), ("b", "1", "2"), ("c", "0", "1")]
-    with pytest.raises(MissingComposite, match="^presentation equates non-parallel morphisms$"):
+    with pytest.raises(MissingComposite, match=r"^compose\(b, a\) = c has endpoints '0'->'1', expected '0'->'2'$"):
         small_category(["0", "1", "2"], arrows, [("b", "a", "c")])
+    # validation refuses such an entry first; the closure still refuses the relation itself
+    identities = {x: f"id_{x}" for x in "012"}
+    with pytest.raises(MissingComposite, match="^presentation equates non-parallel morphisms$"):
+        close_presentation(["0", "1", "2"], arrows, [("0", ("a", "b"), ("c",))], identities, 100)
 
 
 def test_partial_table_that_makes_declared_morphisms_equal_is_refused():
