@@ -20,7 +20,6 @@ from .fincat import (
     FunctorProfile,
     Morphism,
     functor_profile,
-    hom_set,
     opposite,
     validate_category,
     validate_functor,
@@ -35,7 +34,6 @@ from .limits import (
 )
 from .adjoint import (
     brute_force_left_adjoint,
-    coinitiality_profile,
     comma_over,
     comma_under,
     construct_left_adjoint,

@@ -4,10 +4,11 @@ The decision procedure mirrors the universal-arrow characterization: a
 functor G admits a left adjoint exactly when each comma category under an
 anchor object has an initial object.  Initiality in a comma is decided by
 `limits.initial_objects` on the comma's objects and hom sets, so there is a
-single criterion and a single oracle for it.  The composition table, which
-initiality never reads, is built only by `comma_under`.  The adjoint
-assembled from the initial objects is re-checked by `verify_adjunction`,
-whose hom bijections are exactly their initiality.
+single criterion and a single oracle for it.  The decision and the
+solution-set report both read a comma through `_hom_view`, its objects and
+hom sets only; the composition table, which neither reads, is built only by
+`comma_under`.  The adjoint assembled from the initial objects is re-checked
+by `verify_adjunction`, whose hom bijections are exactly their initiality.
 
 `brute_force_left_adjoint` is the independent check: it enumerates every
 candidate functor and unit within configured bounds and verifies the hom
@@ -27,7 +28,6 @@ from .fincat import (
     UnknownObject,
     category_over,
     check_functor_laws,
-    components,
     escape,
     functor_space,
     isomorphic,
@@ -112,13 +112,6 @@ class SolutionSetReport:
     sets: dict[str, tuple[str, ...]]  # anchor -> minimal weakly initial set
 
 
-@dataclass(frozen=True)
-class CoinitialityRecord:
-    nonempty: bool
-    connected: bool
-    has_initial: bool
-
-
 def _under(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], list[tuple[str, int, int]]]:
     """The comma under c as plain data: its objects (d, u), in the order
     `comma_under` names them, and its morphisms (phi, i, j), from the i-th
@@ -139,17 +132,33 @@ def _under(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], list[tuple[str
     return objects, arrows
 
 
+def _hom_view(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], SimpleNamespace]:
+    """The objects (d, u) of the comma under c, and the comma as a value
+    with `objects` (their indices) and `hom`, all that initiality and weak
+    initiality read; its hom sets list their morphisms in `_under` order."""
+    objects, arrows = _under(G, c)
+    hom: dict[tuple[int, int], list[str]] = {}
+    for phi, i, j in arrows:
+        hom.setdefault((i, j), []).append(phi)
+    return objects, SimpleNamespace(objects=range(len(objects)), hom=lambda i, j: hom.get((i, j), ()))
+
+
+def _pair_name(x: str, y: str) -> str:
+    """The comma object (x, y) named "(x,y)", with each \\ and , in x
+    escaped, so the first unescaped comma ends x and no two pairs share a
+    name."""
+    return f"({escape(x, ',')},{y})"
+
+
 def comma_under(G: FinFunctor, c: str) -> Comma:
     """The comma category of morphisms out of c into values of G.
 
-    Objects are pairs (d, u: c -> G d), named "(d,u)" with each \\ and , in
-    d escaped, so the first unescaped comma ends d and no two pairs share
-    a name; a morphism (d, u) -> (d', u') is a morphism phi: d -> d' of
-    the source of G with G(phi) o u == u'.
+    Objects are pairs (d, u: c -> G d), named by `_pair_name`; a morphism
+    (d, u) -> (d', u') is a morphism phi: d -> d' of the source of G with
+    G(phi) o u == u'.
     """
     objects, arrows = _under(G, c)
-    first = {d: escape(d, ",") for d in G.source.objects}
-    names = [f"({first[d]},{u})" for d, u in objects]
+    names = [_pair_name(d, u) for d, u in objects]
     over = {o: d for o, (d, _) in zip(names, objects)}
     P = category_over(G.source, over, [(phi, names[i], names[j]) for phi, i, j in arrows])
     return Comma(P.source, P, dict(zip(names, objects)))
@@ -158,16 +167,15 @@ def comma_under(G: FinFunctor, c: str) -> Comma:
 def comma_over(F: FinFunctor, d: str) -> Comma:
     """The comma category of morphisms from values of F into d.
 
-    Objects are pairs (c, v: F c -> d), named "(c,v)" with each \\ and , in
-    c escaped; a morphism (c, v) -> (c', v') is a morphism phi: c -> c'
-    with v' o F(phi) == v.  Dual to `comma_under` through opposite
-    categories, which the tests assert.
+    Objects are pairs (c, v: F c -> d), named by `_pair_name`; a morphism
+    (c, v) -> (c', v') is a morphism phi: c -> c' with v' o F(phi) == v.
+    Dual to `comma_under` through opposite categories, which the tests
+    assert.
     """
     C, D = F.source, F.target
     if not D.has_object(d):
         raise UnknownObject(f"{d!r} is not an object of the target")
-    first = {c: escape(c, ",") for c in C.objects}
-    pairs = {f"({first[c]},{v})": (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
+    pairs = {_pair_name(c, v): (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
     arrows = [
         (phi, o, o2)
         for o, (c, v) in pairs.items()
@@ -184,13 +192,14 @@ def solution_set_condition(G: FinFunctor) -> SolutionSetReport:
 
     Finite instances always satisfy the condition (the full object set of a
     comma is weakly initial, and the empty comma has the empty set), so the
-    value of this report is the explicit witnesses.
+    value of this report is the explicit witnesses: the first minimal set
+    of each comma, named as `comma_under` names its objects.
     """
     sets = {}
     for c in G.target.objects:
-        comma = comma_under(G, c)
-        minimal = limits.weakly_initial_sets(comma.base)
-        sets[c] = minimal[0] if minimal else ()
+        objects, view = _hom_view(G, c)
+        first = limits.weakly_initial_sets(view)[0]
+        sets[c] = tuple(_pair_name(*objects[i]) for i in first)
     return SolutionSetReport(True, sets)
 
 
@@ -274,25 +283,12 @@ def gaft_decide(G: FinFunctor) -> GaftResult:
     C = G.target
     witnesses = {}
     for c in C.objects:
-        objects, arrows = _under(G, c)
-        hom: dict[tuple[int, int], list[str]] = {}
-        for phi, i, j in arrows:
-            hom.setdefault((i, j), []).append(phi)
-        view = SimpleNamespace(objects=range(len(objects)), hom=lambda i, j: hom.get((i, j), ()))
+        objects, view = _hom_view(G, c)
         init = limits.initial_objects(view)
         if not init:
             return GaftResult(False, None, c)
         witnesses[c] = objects[init[0]]
     return GaftResult(True, construct_left_adjoint(G, witnesses), None)
-
-
-def right_adjoint_decide(F: FinFunctor) -> GaftResult:
-    """Decide a right adjoint by deciding a left adjoint in the opposites.
-
-    There is no separate code path for the dual problem: a right adjoint
-    for F is exactly a left adjoint for the opposite functor.
-    """
-    return gaft_decide(opposite_functor(F))
 
 
 @dataclass(frozen=True)
@@ -362,25 +358,6 @@ def brute_force_left_adjoint(
             [rank_u[u] for u in pair[1].values()],
         ))
     return BruteForceResult(bool(found), found)
-
-
-def coinitiality_profile(F: FinFunctor) -> dict[str, CoinitialityRecord]:
-    """Per object of the target: is the comma over it nonempty, connected
-    as an undirected graph, and does it have an initial object.
-
-    Nonempty everywhere certifies weak coinitiality, nonempty and connected
-    the next level up, and an initial object everywhere is a sufficient
-    certificate for coinitiality.
-    """
-    out = {}
-    for d in F.target.objects:
-        comma = comma_over(F, d)
-        nonempty = bool(comma.base.objects)
-        edges = ((m.src, m.dst) for m in comma.base.morphisms)
-        connected = len(components(comma.base.objects, edges)) == 1
-        has_initial = bool(limits.initial_objects(comma.base))
-        out[d] = CoinitialityRecord(nonempty, connected, has_initial)
-    return out
 
 
 def comma_duality_holds(F: FinFunctor, d: str) -> bool:

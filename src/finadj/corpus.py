@@ -424,16 +424,6 @@ def enriched_functors() -> list[tuple[str, GpdFunctor]]:
 # -- set-functor fixtures -------------------------------------------------------
 
 
-def constant_singleton(C: FinCategory) -> SetFunctor:
-    return validate_set_functor(
-        C,
-        {
-            "on_objects": {x: ["*"] for x in C.objects},
-            "on_morphisms": {m.id: {"*": "*"} for m in C.morphisms},
-        },
-    )
-
-
 def b1_failing_on_two() -> SetFunctor:
     """Two elements over the initial object: breaks the empty-coproduct case."""
     C = two()

@@ -609,8 +609,6 @@ class CompareReport:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    enriched_has_set: bool
-    ordinary_has_set: bool
     transfer_down_ok: bool
     transfer_up_ok: bool
     enriched_set: tuple[str, ...]
@@ -737,32 +735,24 @@ def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     Down: images of a weakly initial set of comma objects.  Up: canonical
     representatives of a weakly initial set of the ordinary comma.  Both
     transferred sets are re-verified against the definition on the other
-    side.
+    side.  Each side has a weakly initial set, its full object set, so
+    `weakly_initial_sets` always has a first set to transfer (the empty
+    set of an empty comma).
     """
     ec = enriched_comma_under(G, c)
     hG = homotopy_functor(G)
     ht = G.target.homotopy
     oc = comma_under(hG, c)
 
-    e_sets = limits.weakly_initial_sets(ec.base.cell_layer)
-    o_sets = limits.weakly_initial_sets(oc.base)
-    enriched_has = bool(e_sets)
-    ordinary_has = bool(o_sets)
+    e_first = limits.weakly_initial_sets(ec.base.cell_layer)[0]
+    o_first = limits.weakly_initial_sets(oc.base)[0]
 
     oc_by_pair = {pair: o for o, pair in oc.pairs.items()}
-    down_ok = False
-    e_first: tuple[str, ...] = ()
-    if enriched_has:
-        e_first = e_sets[0]
-        image = tuple(oc_by_pair[(ec.pairs[o][0], ht.cell_class[ec.pairs[o][1]])] for o in e_first)
-        down_ok = limits.is_weakly_initial(oc.base, image)
+    image = tuple(oc_by_pair[(ec.pairs[o][0], ht.cell_class[ec.pairs[o][1]])] for o in e_first)
+    down_ok = limits.is_weakly_initial(oc.base, image)
 
-    up_ok = False
-    o_first: tuple[str, ...] = ()
-    if ordinary_has:
-        o_first = o_sets[0]
-        ec_by_pair = {pair: o for o, pair in ec.pairs.items()}
-        lifted = tuple(ec_by_pair[oc.pairs[o]] for o in o_first)
-        up_ok = limits.is_weakly_initial(ec.base.cell_layer, lifted)
+    ec_by_pair = {pair: o for o, pair in ec.pairs.items()}
+    lifted = tuple(ec_by_pair[oc.pairs[o]] for o in o_first)
+    up_ok = limits.is_weakly_initial(ec.base.cell_layer, lifted)
 
-    return InvarianceReport(enriched_has, ordinary_has, down_ok, up_ok, e_first, o_first)
+    return InvarianceReport(down_ok, up_ok, e_first, o_first)

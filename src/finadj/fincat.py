@@ -484,15 +484,6 @@ def small_category(objects, arrows, compose) -> FinCategory:
     )
 
 
-def hom_set(C: FinCategory, x: str, y: str) -> tuple[str, ...]:
-    """Morphism ids from x to y, in declared order."""
-    if not C.has_object(x):
-        raise UnknownObject(f"{x!r} is not an object")
-    if not C.has_object(y):
-        raise UnknownObject(f"{y!r} is not an object")
-    return C.hom(x, y)
-
-
 def opposite(C: FinCategory) -> FinCategory:
     """Reverse every morphism.  An involution: opposite(opposite(C)) == C,
     though not the same value: the opposite is built on first use and kept
@@ -671,7 +662,7 @@ def search(domains: Mapping, constraints: Iterable = (), distinct: Iterable = ()
     soon as the last of its variables is bound.  Each group in `distinct`
     takes pairwise different values.
 
-    The comma decision (`comma_under`, `initial_objects`,
+    The comma decision (`gaft_decide`, `initial_objects`,
     `construct_left_adjoint`) never calls this search, so the brute-force
     oracle that runs on it stays independent of the decision it checks.
     """
@@ -783,25 +774,6 @@ def components(nodes: Sequence[str], edges: Iterable[tuple[str, str]]) -> list[l
     for x in nodes:
         groups.setdefault(find(parent, index[x]), []).append(x)
     return list(groups.values())
-
-
-def natural_transformations(F: FinFunctor, G: FinFunctor) -> Iterator[dict[str, str]]:
-    """All natural transformations F => G as per-object component maps."""
-    C, D = F.source, F.target
-    domains = {x: D.hom(F.obj_map[x], G.obj_map[x]) for x in C.objects}
-    constraints = [
-        ((m.src, m.dst), lambda s, t, m=m.id: D.compose(G.mor_map[m], s) == D.compose(t, F.mor_map[m]))
-        for m in C.morphisms
-        if not C.is_identity(m.id)
-    ]
-    return search(domains, constraints)
-
-
-def naturally_isomorphic(F: FinFunctor, G: FinFunctor) -> bool:
-    D = F.target
-    return any(
-        all(D.is_iso(c) for c in eta.values()) for eta in natural_transformations(F, G)
-    )
 
 
 def isomorphic(C: FinCategory, D: FinCategory) -> bool:

@@ -26,6 +26,16 @@ from finadj.limits import cospan_diagram, initial_objects, limit, pair_diagram
 CATS = corpus.categories()
 
 
+def constant_singleton(C: FinCategory) -> SetFunctor:
+    return validate_set_functor(
+        C,
+        {
+            "on_objects": {x: ["*"] for x in C.objects},
+            "on_morphisms": {m.id: {"*": "*"} for m in C.morphisms},
+        },
+    )
+
+
 def test_representables_satisfy_B1_and_B2_on_the_diamond():
     D = CATS["diamond"]
     for a in D.objects:
@@ -42,9 +52,9 @@ def test_B1_fails_at_the_empty_coproduct():
 
 def test_B1_checks_need_coproducts():
     with pytest.raises(CoproductAbsent):
-        check_B1(CATS["wedge"], corpus.constant_singleton(CATS["wedge"]))
+        check_B1(CATS["wedge"], constant_singleton(CATS["wedge"]))
     with pytest.raises(CoproductAbsent):
-        check_B1(CATS["disc2"], corpus.constant_singleton(CATS["disc2"]))
+        check_B1(CATS["disc2"], constant_singleton(CATS["disc2"]))
 
 
 def test_B2_failing_fixture_reports_the_documented_square():
@@ -60,7 +70,7 @@ def test_B2_failing_fixture_reports_the_documented_square():
 
 def test_B2_checks_need_pushouts():
     with pytest.raises(PushoutAbsent):
-        check_B2(CATS["pp"], corpus.constant_singleton(CATS["pp"]))
+        check_B2(CATS["pp"], constant_singleton(CATS["pp"]))
 
 
 # -- independent recomputation of the two conditions -------------------------
@@ -145,7 +155,7 @@ def test_checks_agree_with_direct_unfolding_on_random_functor_algebra():
     rng = random.Random(12)
     for name in ("two", "chain3", "diamond"):
         C = CATS[name]
-        atoms = [hom_functor(C, a) for a in C.objects] + [corpus.constant_singleton(C)]
+        atoms = [hom_functor(C, a) for a in C.objects] + [constant_singleton(C)]
         for _ in range(12):
             F = atoms[rng.randrange(len(atoms))]
             G = atoms[rng.randrange(len(atoms))]
@@ -165,7 +175,7 @@ def test_representability_search_examples():
     C = CATS["chain3"]
     res = representability_search(C, hom_functor(C, "1"))
     assert res.found and res.representing == "1"
-    res = representability_search(C, corpus.constant_singleton(C))
+    res = representability_search(C, constant_singleton(C))
     assert res.found and res.representing == "2"
     res = representability_search(CATS["two"], corpus.b2_failing_on_two())
     assert not res.found

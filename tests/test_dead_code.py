@@ -1,16 +1,17 @@
 """Code with no caller is deleted.
 
 Every function and class defined in `src/finadj` must be read somewhere
-in `src/`, `tests/` or `demos/`.  A definition in module m counts only
-through the syntax tree: a load of its name inside m, an import of the name
-from m, or an attribute read `m.<name>`.  Its own definition does not count,
+in `src/`, `demos/` or `perfbench/`: code that only tests call is not
+used, so a read from `tests/` does not count.  A definition in module m
+counts only through the syntax tree: a load of its name inside m, an import
+of the name from m, or an attribute read `m.<name>`.  Its own definition does not count,
 nor does a re-export from an `__init__.py`, nor a comment, string or
 same-named attribute of another module (`re.compile` does not read a
 `compile` of ours).  A method counts when an attribute read names it.
 Dunder methods are exempt: the interpreter calls them.
 Every name a module of `src/finadj` imports at module level is used in
 that module, and every field of a dataclass there is read as an attribute
-somewhere.
+somewhere, tests included.
 """
 
 import ast
@@ -18,6 +19,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "finadj"
+USERS = ("src", "demos", "perfbench")  # the folders whose reads keep a definition
 
 
 def _definitions():
@@ -31,23 +33,23 @@ def _definitions():
                     yield path.stem, node.lineno, node.name, id(node) in methods
 
 
-def _trees():
-    """(module name if in src/finadj, syntax tree) of each scanned file."""
-    for folder in ("src", "tests", "demos"):
+def _trees(folders):
+    """(module name if in src/finadj, syntax tree) of each file in `folders`."""
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             if path.name != "__init__.py":
                 yield path.stem if path.parent == PACKAGE else None, ast.parse(path.read_text())
 
 
-def _attributes_read() -> set[str]:
-    return {node.attr for _, tree in _trees() for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+def _attributes_read(folders) -> set[str]:
+    return {node.attr for _, tree in _trees(folders) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def _module_names_read() -> set[tuple[str, str]]:
     """(module, name) for each name of a src/finadj module that is loaded
     inside it, imported from it, or read as `module.name`."""
     read = set()
-    for module, tree in _trees():
+    for module, tree in _trees(USERS):
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
                 read.add((module, node.id))
@@ -60,7 +62,7 @@ def _module_names_read() -> set[tuple[str, str]]:
 
 
 def test_every_definition_is_referenced():
-    attributes, names = _attributes_read(), _module_names_read()
+    attributes, names = _attributes_read(USERS), _module_names_read()
     unreferenced = [
         f"{module}.py:{line} {name}"
         for module, line, name, method in _definitions()
@@ -91,7 +93,13 @@ def _is_dataclass(decorator) -> bool:
 
 
 def test_every_dataclass_field_is_read():
-    read = _attributes_read()
+    """Reads from tests count here, unlike for definitions: some fields
+    are results that only tests inspect yet, and are kept on purpose.
+    `FunctorProfile.faithful` is what the planned mapping-space oracle for
+    the enriched decision needs (whiskering full and faithful), and
+    `PreservationReport.counterexample` is the witness a re-check of a
+    failed preservation certificate will name."""
+    read = _attributes_read(USERS + ("tests",))
     unread = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

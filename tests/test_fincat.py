@@ -14,7 +14,6 @@ from finadj.fincat import (
     IdentityViolation,
     MissingComposite,
     NotFunctorial,
-    UnknownObject,
     CategoryError,
     FinCategory,
     FinFunctor,
@@ -26,11 +25,9 @@ from finadj.fincat import (
     compose_functors,
     functor_profile,
     functor_space,
-    hom_set,
     identity_functor,
     isomorphic,
     minimal_sets,
-    naturally_isomorphic,
     opposite,
     opposite_functor,
     search,
@@ -100,7 +97,7 @@ def test_generator_closure_completes_partial_tables():
         "compose": [],
     }
     C = validate_category(raw)
-    assert len(hom_set(C, "0", "2")) == 2
+    assert len(C.hom("0", "2")) == 2
     assert len(C.morphisms) == 7
 
 
@@ -189,15 +186,6 @@ def test_opposite_reverses_and_is_involutive():
 def test_opposite_swaps_initial_and_terminal_corpus_wide():
     tally = sweeps.check_opposite_duality(sweeps.sweep_corpus_categories())
     assert tally.checks == 39 and not tally.failures
-
-
-def test_hom_set_examples():
-    C = corpus.chain3()
-    assert hom_set(C, "0", "2") == ("0<2",)
-    assert hom_set(C, "2", "0") == ()
-    assert len(hom_set(corpus.free_boundary(), "0", "2")) == 2
-    with pytest.raises(UnknownObject):
-        hom_set(C, "0", "nope")
 
 
 def test_identity_functor_is_valid():
@@ -339,15 +327,6 @@ def test_isomorphic_keeps_object_and_morphism_ids_apart():
     D, _, _ = _relabeled(C, "q_")
     assert isomorphic(C, C)
     assert isomorphic(C, D) and isomorphic(D, C)
-
-
-def test_natural_isomorphism_detection():
-    C = CATS["iso2"]
-    ident = identity_functor(C)
-    swap = corpus.functor(C, C, {"a": "b", "b": "a"}, {"u": "v", "v": "u"})
-    assert naturally_isomorphic(ident, swap)
-    const = corpus.functor(CATS["pp"], CATS["pp"], {"a": "a", "b": "a"}, {"f": "id_a", "g": "id_a"})
-    assert not naturally_isomorphic(identity_functor(CATS["pp"]), const)
 
 
 def test_opposite_functor_preserves_assignments():

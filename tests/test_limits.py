@@ -177,7 +177,8 @@ def test_coproducts_in_diamond():
 def test_weak_initiality_is_monotone_under_supersets(name, data):
     C = CATS[name]
     sets = weakly_initial_sets(C)
-    if not sets or not C.objects:
+    assert sets  # the whole object set is weakly initial, so a minimal set exists
+    if not C.objects:
         return
     base = list(sets[0])
     extra = data.draw(st.lists(st.sampled_from(list(C.objects)), max_size=3))

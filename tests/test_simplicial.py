@@ -3,7 +3,7 @@ import random
 import pytest
 
 from finadj import corpus, sweeps
-from finadj.fincat import ClosureBoundExceeded, hom_set, identity_functor, isomorphic as cat_isomorphic
+from finadj.fincat import ClosureBoundExceeded, identity_functor, isomorphic as cat_isomorphic
 from finadj.adjoint import comma_over
 from finadj.simplicial import (
     Degenerate,
@@ -156,7 +156,7 @@ def test_simplicial_identity_violations_are_caught():
 
 def test_tau1_of_boundary_has_two_diagonals():
     C = tau1(boundary_simplex(2))
-    assert len(hom_set(C, "0", "2")) == 2
+    assert len(C.hom("0", "2")) == 2
 
 
 def test_tau1_of_filled_triangle_is_chain3():
