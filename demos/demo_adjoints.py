@@ -47,7 +47,7 @@ def main():
     show("the two-element group collapsing to a point: solution sets are not enough")
     G3 = corpus.functor(cats["z2"], cats["one"], {x: "*" for x in cats["z2"].objects}, {"s": "id_*"})
     report = solution_set_condition(G3)
-    print("solution set condition holds:", report.holds, "with sets", report.sets)
+    print("solution sets:", report.sets)
     print("but gaft verdict:", "exists" if gaft_decide(G3).exists else "none",
           "(the comma has parallel endomorphisms, so no initial object)")
 

@@ -108,7 +108,6 @@ class VerificationResult:
 
 @dataclass(frozen=True)
 class SolutionSetReport:
-    holds: bool
     sets: dict[str, tuple[str, ...]]  # anchor -> minimal weakly initial set
 
 
@@ -200,7 +199,7 @@ def solution_set_condition(G: FinFunctor) -> SolutionSetReport:
         objects, view = _hom_view(G, c)
         first = limits.weakly_initial_sets(view)[0]
         sets[c] = tuple(_pair_name(*objects[i]) for i in first)
-    return SolutionSetReport(True, sets)
+    return SolutionSetReport(sets)
 
 
 def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]]) -> AdjunctionCertificate:

@@ -26,7 +26,7 @@ from .fincat import (
     UnknownObject,
     check_shape,
     functor_space,
-    minimal_sets,
+    minimal_transversals,
     opposite,
     opposite_functor,
     search,
@@ -212,24 +212,18 @@ def representability_search(C: FinCategory, F: SetFunctor) -> RepresentabilityRe
 
 
 def weak_generators(C: FinCategory) -> list[tuple[str, ...]]:
-    """All minimal sets of objects that jointly detect isomorphisms.
-
-    A set works when every non-isomorphism is sent to a non-bijection by
-    postcomposition from at least one member.
-    """
+    """All minimal sets of objects that jointly detect isomorphisms: the
+    minimal transversals of {g : postcomposition with f is no bijection at
+    g}, one edge per non-isomorphism f: a -> b.  No edge is empty, so the
+    list never is: a bijection at b gives s with f s = id_b, and then
+    f (s f) = f id_a with a bijection at a gives s f = id_a, so f is iso."""
     non_isos = [m.id for m in C.morphisms if not C.is_iso(m.id)]
 
     def detects(g: str, f: str) -> bool:
         table = [C.compose(f, h) for h in C.hom(g, C.src(f))]
         return len(set(table)) != len(table) or set(table) != set(C.hom(g, C.dst(f)))
 
-    detect = {
-        (g, f): detects(g, f) for g in C.objects for f in non_isos
-    }
-    return minimal_sets(
-        C.objects,
-        lambda members: all(any(detect[(g, f)] for g in members) for f in non_isos),
-    )
+    return minimal_transversals(C.objects, ([g for g in C.objects if detects(g, f)] for f in non_isos))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CLOSURE_BOUND = 10_000
 
@@ -730,22 +730,20 @@ def functor_space(C: FinCategory, D: FinCategory, objects: Mapping | None = None
     return domains, constraints
 
 
-def minimal_sets(items: Sequence[str], holds: Callable[[tuple[str, ...]], bool]) -> list[tuple[str, ...]]:
-    """All inclusion-minimal subsets satisfying `holds`, by size, then in
-    lexicographic order of positions in `items`.
-
-    `holds` must be upward-closed: every superset of a satisfying set
-    satisfies it.  Then a set is minimal exactly when no subset one element
-    smaller satisfies it, so only those are tested.
-    """
-    out = []
-    for size in range(len(items) + 1):
-        for members in itertools.combinations(items, size):
-            if holds(members) and not any(
-                holds(members[:k] + members[k + 1 :]) for k in range(size)
-            ):
-                out.append(members)
-    return out
+def minimal_transversals(items: Sequence, edges: Iterable[Iterable]) -> list[tuple]:
+    """The inclusion-minimal sets of `items` meeting every edge, by size,
+    then by positions in `items`.  Berge's method: over the edges, smallest
+    first, keep the minimal transversals so far; a set missing the next
+    edge grows by each of its members, and stays minimal unless it contains
+    a kept set meeting the edge (grown sets s+v, s'+v' never nest properly,
+    s and s' being minimal and missing the edge)."""
+    pos = {x: i for i, x in enumerate(items)}
+    found = {frozenset()}
+    for edge in sorted({frozenset(pos[x] for x in e) for e in edges}, key=len):
+        hit = {s for s in found if s & edge}
+        grown = {s | {i} for s in found - hit for i in edge}
+        found = hit | {g for g in grown if not any(s <= g for s in hit)}
+    return [tuple(items[i] for i in s) for s in sorted(map(sorted, found), key=lambda s: (len(s), s))]
 
 
 def find(parent: list[int], a: int) -> int:

@@ -20,7 +20,7 @@ from .fincat import (
     FinFunctor,
     compose_functors,
     identity_functor,
-    minimal_sets,
+    minimal_transversals,
     search,
     small_category,
 )
@@ -174,22 +174,24 @@ def image_cone(G: FinFunctor, cone: Cone) -> Cone:
 
 
 def limit_instances(C: FinCategory, kind: str):
+    """(name, data, diagram) per instance of `kind`.  A product or pullback
+    pair comes once, first member first: its mirror has the same limit cones
+    with legs swapped, so `preserves_limits` and `brown`'s checks agree on
+    both, and it comes after the pair, so no first failure (witness) moves."""
     if kind == "terminal":
         yield ("terminal", (), empty_diagram(C))
     elif kind == "products":
-        for i, x in enumerate(C.objects):
-            for y in C.objects[i:]:
-                yield ("product", (x, y), pair_diagram(C, x, y))
+        for x, y in itertools.combinations_with_replacement(C.objects, 2):
+            yield ("product", (x, y), pair_diagram(C, x, y))
     elif kind == "equalizers":
         for x in C.objects:
             for y in C.objects:
                 for f, g in itertools.combinations(C.hom(x, y), 2):
                     yield ("equalizer", (f, g), parallel_diagram(C, f, g))
     elif kind == "pullbacks":
-        for f in C.morphisms:
-            for g in C.morphisms:
-                if f.dst == g.dst:
-                    yield ("pullback", (f.id, g.id), cospan_diagram(C, f.id, g.id))
+        for f, g in itertools.combinations_with_replacement(C.morphisms, 2):
+            if f.dst == g.dst:
+                yield ("pullback", (f.id, g.id), cospan_diagram(C, f.id, g.id))
     else:
         raise ValueError(f"unknown limit kind {kind!r}")
 
@@ -249,5 +251,10 @@ def is_weakly_initial(C: FinCategory, members) -> bool:
 
 
 def weakly_initial_sets(C: FinCategory) -> list[tuple[str, ...]]:
-    """All inclusion-minimal weakly initial sets, in canonical order."""
-    return minimal_sets(C.objects, lambda members: is_weakly_initial(C, members))
+    """All inclusion-minimal weakly initial sets, in canonical order: the
+    minimal transversals of {x : hom(x, y) nonempty}, one edge per y.  In
+    closed form: hom(x, y) nonempty is a preorder, and a set is weakly
+    initial iff it meets each minimal class (only a class's members lie
+    below it, and every y lies above some class, all of whose members reach
+    y), so the minimal sets pick one object per minimal class."""
+    return minimal_transversals(C.objects, ([x for x in C.objects if C.hom(x, y)] for y in C.objects))

@@ -195,6 +195,8 @@ def test_weak_generators_examples():
     assert weak_generators(CATS["chain3"]) == [("1", "2")]
     assert weak_generators(CATS["one"]) == [()]
     assert weak_generators(CATS["disc2"]) == [()]
+    objs = [str(i) for i in range(30)]
+    assert weak_generators(corpus.poset_category(objs, list(itertools.combinations(objs, 2)))) == [tuple(objs[1:])]
 
 
 def _postcomposition_is_bijection(C, g, f):
@@ -203,15 +205,15 @@ def _postcomposition_is_bijection(C, g, f):
 
 
 def test_weak_generators_detect_all_non_isos():
-    for name in ("two", "chain3", "diamond", "ppe"):
-        C = CATS[name]
-        for gens in weak_generators(C):
-            for f in C.morphisms:
-                if C.is_iso(f.id):
-                    continue
-                assert any(
-                    not _postcomposition_is_bijection(C, g, f.id) for g in gens
-                ), (name, f.id)
+    for name, C in CATS.items():
+        non_isos = [f for f in C.morphisms if not C.is_iso(f.id)]
+        for f in non_isos:  # no edge is empty: f is detected at its source or target
+            assert not all(_postcomposition_is_bijection(C, g, f.id) for g in (f.src, f.dst)), (name, f.id)
+        sets = weak_generators(C)
+        assert sets, name
+        for gens in sets:
+            for f in non_isos:
+                assert any(not _postcomposition_is_bijection(C, g, f.id) for g in gens), (name, f.id)
 
 
 def test_B1p_B2p_examples():

@@ -4,7 +4,7 @@ import re
 from collections import deque
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from finadj import corpus, sweeps
 from finadj.cli import run
@@ -27,7 +27,7 @@ from finadj.fincat import (
     functor_space,
     identity_functor,
     isomorphic,
-    minimal_sets,
+    minimal_transversals,
     opposite,
     opposite_functor,
     search,
@@ -363,24 +363,28 @@ def _names(draw, n):
 
 
 @st.composite
-def upward_closed_predicates(draw):
-    """Items, and a predicate "contains one of these sets" over them."""
+def hypergraphs(draw):
+    """Items, and edges over them: possibly none, empty or repeated."""
     items = _names(draw, draw(st.integers(0, 6)))
-    masks = draw(st.lists(st.integers(0, 2 ** len(items) - 1), max_size=4))
-    bases = [{x for i, x in enumerate(items) if m >> i & 1} for m in masks]
-    return items, lambda members: any(b <= set(members) for b in bases)
+    edges = draw(st.lists(st.sets(st.sampled_from(items)) if items else st.just(set()), max_size=5))
+    return items, edges + (draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else [])
 
 
-def _minimal_sets_reference(items, holds):
+def _minimal_transversals_reference(items, edges):
+    """The 2^n subset sweep: the subsets meeting every edge, less those
+    with a proper subset that does."""
     subsets = [s for k in range(len(items) + 1) for s in itertools.combinations(items, k)]
-    satisfying = [s for s in subsets if holds(s)]
-    return [s for s in satisfying if not any(set(t) < set(s) for t in satisfying)]
+    meeting = [s for s in subsets if all(set(s) & set(e) for e in edges)]
+    return [s for s in meeting if not any(set(t) < set(s) for t in meeting)]
 
 
-@given(upward_closed_predicates())
-def test_minimal_sets_matches_definition(case):
-    items, holds = case
-    assert minimal_sets(items, holds) == _minimal_sets_reference(items, holds)
+@given(hypergraphs())
+@example((["v1", "v0"], []))  # no edge: the empty set alone
+@example((["v1", "v0"], [{"v0"}, set()]))  # an empty edge: no transversal
+@example((["v1", "v0", "v2"], [{"v0", "v2"}, {"v1"}, {"v0", "v2"}]))
+def test_minimal_transversals_match_definition(case):
+    items, edges = case
+    assert minimal_transversals(items, edges) == _minimal_transversals_reference(items, edges)
 
 
 @st.composite

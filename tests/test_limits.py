@@ -1,10 +1,11 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
-from finadj import corpus, enriched, limits, sweeps
+from finadj import adjoint, corpus, enriched, limits, sweeps
 from finadj.fincat import identity_functor, opposite
 from finadj.limits import (
     KINDS,
@@ -115,7 +116,7 @@ def test_compare_computes_each_limit_of_its_source_once(monkeypatch):
     monkeypatch.setattr(limits, "limit", recording_limit)
     enriched.homotopy_adjoint_compare(enriched.embed_functor(identity_functor(corpus.diamond())))
     counts = Counter((id(C), obj, mor) for C, obj, mor in calls)
-    assert len(calls) == 36 and max(counts.values()) == 1
+    assert len(calls) == 28 and max(counts.values()) == 1
 
 
 def test_weakly_initial_sets_examples():
@@ -123,6 +124,23 @@ def test_weakly_initial_sets_examples():
     assert weakly_initial_sets(CATS["disc2"]) == [("x", "y")]
     assert weakly_initial_sets(CATS["diamond"]) == [("bot",)]
     assert weakly_initial_sets(CATS["empty"]) == [()]
+    objs = [str(i) for i in range(30)]
+    assert weakly_initial_sets(corpus.poset_category(objs, list(itertools.combinations(objs, 2)))) == [("0",)]
+
+
+def test_weakly_initial_sets_have_their_closed_form():
+    # one object from each minimal class of the preorder "hom(x, y) is nonempty"
+    cats = [C for _, C in sweeps.sweep_corpus_categories()]
+    cats += [opposite(C) for C in cats]
+    cats += [adjoint._hom_view(G, c)[1] for _, G in corpus.poset_maps(3) for c in G.target.objects]
+    for C in cats:
+        objs = list(C.objects)
+        least = [x for x in objs if all(C.hom(x, y) for y in objs if C.hom(y, x))]
+        classes = {tuple(y for y in least if C.hom(x, y) and C.hom(y, x)) for x in least}
+        sets = weakly_initial_sets(C)
+        assert {frozenset(s) for s in sets} == {frozenset(p) for p in itertools.product(*classes)}
+        assert len(sets) == math.prod(map(len, classes))
+        assert {len(s) for s in sets} == {len(classes)}
 
 
 def test_minimal_weakly_initial_set_contains_initial_object():
