@@ -2,13 +2,16 @@
 
 The decision procedure mirrors the universal-arrow characterization: a
 functor G admits a left adjoint exactly when each comma category under an
-anchor object has an initial object.  Initiality in a comma is decided by
-`limits.initial_objects` on the comma's objects and hom sets, so there is a
-single criterion and a single oracle for it.  The decision and the
-solution-set report both read a comma through `_hom_view`, its objects and
-hom sets only; the composition table, which neither reads, is built only by
-`comma_under`.  The adjoint assembled from the initial objects is re-checked
-by `verify_adjunction`, whose hom bijections are exactly their initiality.
+anchor object has an initial object, and one per anchor is all it needs.
+Initiality in a comma is decided by `limits.is_initial` on the comma's
+objects and hom sets, so there is a single criterion and a single oracle
+for it.  The decision and the solution-set report both read a comma
+through `_hom_view`: its objects, and each hom set computed only when
+asked, so the decision stops at each comma's first initial object without
+listing the comma's other morphisms.  The composition table, which
+neither reads, is built only by `comma_under`.  The adjoint assembled from
+the initial objects is re-checked by `verify_adjunction`, whose hom
+bijections are exactly their initiality.
 
 `brute_force_left_adjoint` is the independent check: it enumerates every
 candidate functor and unit within configured bounds and verifies the hom
@@ -111,35 +114,30 @@ class SolutionSetReport:
     sets: dict[str, tuple[str, ...]]  # anchor -> minimal weakly initial set
 
 
-def _under(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], list[tuple[str, int, int]]]:
-    """The comma under c as plain data: its objects (d, u), in the order
-    `comma_under` names them, and its morphisms (phi, i, j), from the i-th
-    object to the j-th, in the order `comma_under` lists them."""
+def _comma_objects(G: FinFunctor, c: str) -> list[tuple[str, str]]:
+    """The objects (d, u: c -> G d) of the comma under c, in the order
+    `comma_under` names them: by d in declared order, then by u."""
     D, C = G.source, G.target
     if not C.has_object(c):
         raise UnknownObject(f"{c!r} is not an object of the target")
-    objects = [(d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])]
-    index = {pair: i for i, pair in enumerate(objects)}
-    out: dict[str, list] = {}  # the morphisms of D by source, in declared order
-    for phi in D.morphisms:
-        out.setdefault(phi.src, []).append(phi)
-    arrows = [
-        (phi.id, i, index[(phi.dst, C.compose(G.mor_map[phi.id], u))])
-        for i, (d, u) in enumerate(objects)
-        for phi in out.get(d, ())
-    ]
-    return objects, arrows
+    return [(d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])]
 
 
 def _hom_view(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], SimpleNamespace]:
     """The objects (d, u) of the comma under c, and the comma as a value
     with `objects` (their indices) and `hom`, all that initiality and weak
-    initiality read; its hom sets list their morphisms in `_under` order."""
-    objects, arrows = _under(G, c)
-    hom: dict[tuple[int, int], list[str]] = {}
-    for phi, i, j in arrows:
-        hom.setdefault((i, j), []).append(phi)
-    return objects, SimpleNamespace(objects=range(len(objects)), hom=lambda i, j: hom.get((i, j), ()))
+    initiality read.  `hom(i, j)` is computed when asked, each time: the
+    morphisms phi of D.hom(d_i, d_j), in declared order, with
+    G(phi) o u_i == u_j, as `comma_under` lists their lifts.  No comma
+    morphism is listed before a reader asks for its hom set."""
+    D, C = G.source, G.target
+    objects = _comma_objects(G, c)
+
+    def hom(i: int, j: int) -> list[str]:
+        (d, u), (d2, u2) = objects[i], objects[j]
+        return [phi for phi in D.hom(d, d2) if C.compose(G.mor_map[phi], u) == u2]
+
+    return objects, SimpleNamespace(objects=range(len(objects)), hom=hom)
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -156,11 +154,19 @@ def comma_under(G: FinFunctor, c: str) -> Comma:
     (d, u) -> (d', u') is a morphism phi: d -> d' of the source of G with
     G(phi) o u == u'.
     """
-    objects, arrows = _under(G, c)
-    names = [_pair_name(d, u) for d, u in objects]
-    over = {o: d for o, (d, _) in zip(names, objects)}
-    P = category_over(G.source, over, [(phi, names[i], names[j]) for phi, i, j in arrows])
-    return Comma(P.source, P, dict(zip(names, objects)))
+    D, C = G.source, G.target
+    pairs = {_pair_name(d, u): (d, u) for d, u in _comma_objects(G, c)}
+    name = {pair: o for o, pair in pairs.items()}
+    out: dict[str, list] = {}  # the morphisms of D by source, in declared order
+    for phi in D.morphisms:
+        out.setdefault(phi.src, []).append(phi)
+    arrows = [
+        (phi.id, o, name[(phi.dst, C.compose(G.mor_map[phi.id], u))])
+        for o, (d, u) in pairs.items()
+        for phi in out.get(d, ())
+    ]
+    P = category_over(D, {o: d for o, (d, _) in pairs.items()}, arrows)
+    return Comma(P.source, P, pairs)
 
 
 def comma_over(F: FinFunctor, d: str) -> Comma:
@@ -261,10 +267,12 @@ def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
             return VerificationResult(False, f"unit naturality fails at {m.id!r}")
     for c in C.objects:
         for d in D.objects:
-            values = [C.compose(G.mor_map[g], unit[c]) for g in D.hom(F.obj_map[c], d)]
-            if len(set(values)) != len(values):
+            homs, target = D.hom(F.obj_map[c], d), C.hom(c, G.obj_map[d])
+            values = {C.compose(G.mor_map[g], unit[c]) for g in homs}
+            if len(values) != len(homs):
                 return VerificationResult(False, f"hom map at ({c!r}, {d!r}) is not injective")
-            if set(values) != set(C.hom(c, G.obj_map[d])):
+            # a hom set lists no morphism twice, so this is values == set(target)
+            if len(values) != len(target) or not values.issuperset(target):
                 return VerificationResult(False, f"hom map at ({c!r}, {d!r}) is not surjective")
     return VerificationResult(True, None)
 
@@ -272,21 +280,23 @@ def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
 def gaft_decide(G: FinFunctor) -> GaftResult:
     """Decide left-adjoint existence through initial comma objects.
 
-    Initiality is decided by `limits.initial_objects` on the objects and
-    hom sets of each comma under an anchor; no composition table is built,
-    since initiality never reads one (`comma_under` builds the full comma).
-    On success the adjoint is constructed from the first initial object of
-    each comma, in comma order, and the certificate is verified before
-    being returned.  On failure the witness anchor is reported.
+    Each comma under an anchor is asked, object by object in comma order,
+    whether `limits.is_initial` holds, and the first object that passes is
+    the anchor's witness: no object after it is asked about, and only the
+    hom sets `is_initial` reads are computed.  No composition table is
+    built, since initiality never reads one (`comma_under` builds the full
+    comma).  On success the adjoint is constructed from these witnesses
+    and the certificate is verified before being returned.  On failure the
+    first anchor whose comma has no initial object is reported.
     """
     C = G.target
     witnesses = {}
     for c in C.objects:
         objects, view = _hom_view(G, c)
-        init = limits.initial_objects(view)
-        if not init:
+        x = next((x for x in view.objects if limits.is_initial(view, x)), None)
+        if x is None:
             return GaftResult(False, None, c)
-        witnesses[c] = objects[init[0]]
+        witnesses[c] = objects[x]
     return GaftResult(True, construct_left_adjoint(G, witnesses), None)
 
 

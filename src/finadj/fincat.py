@@ -662,7 +662,7 @@ def search(domains: Mapping, constraints: Iterable = (), distinct: Iterable = ()
     soon as the last of its variables is bound.  Each group in `distinct`
     takes pairwise different values.
 
-    The comma decision (`gaft_decide`, `initial_objects`,
+    The comma decision (`gaft_decide`, `is_initial`,
     `construct_left_adjoint`) never calls this search, so the brute-force
     oracle that runs on it stays independent of the decision it checks.
     """

@@ -137,10 +137,17 @@ def limit(C: FinCategory, diagram: FinFunctor, *, weak: bool = False) -> list[Co
     return [c for c in cs if is_limit_cone(C, c, cs, weak=weak)]
 
 
+def is_initial(C: FinCategory, x: str) -> bool:
+    """Whether x has exactly one morphism to every object: the one
+    initiality criterion.  Reads only `C.objects` and `C.hom`, so any value
+    with those two will do, and stops at the first hom set that is not a
+    singleton."""
+    return all(len(C.hom(x, y)) == 1 for y in C.objects)
+
+
 def initial_objects(C: FinCategory) -> list[str]:
-    """Objects with exactly one morphism to every object.  Reads only
-    `C.objects` and `C.hom`, so any value with those two will do."""
-    return [x for x in C.objects if all(len(C.hom(x, y)) == 1 for y in C.objects)]
+    """The objects that pass `is_initial`, in object order."""
+    return [x for x in C.objects if is_initial(C, x)]
 
 
 def terminal_objects(C: FinCategory) -> list[str]:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from finadj import corpus, fincat, sweeps
+from finadj import adjoint, corpus, fincat, limits, sweeps
 from finadj.adjoint import (
     AdjunctionCertificate,
     OracleBoundExceeded,
@@ -87,12 +87,23 @@ def test_commas_are_pinned():
     assert digest.hexdigest() == COMMA_DIGEST
 
 
+def _inflated_functors():
+    """The collapse of every named category with 1-3 copies of each object:
+    equivalences, whose comma under c has an initial object per copy of c."""
+    return [
+        sweeps.inflate(C, [copies(j) for j in range(len(C.objects))])
+        for C in CATS.values()
+        for copies in (lambda j: 1 + j % 3, lambda j: 3 - j % 3, lambda j: 2)
+    ]
+
+
 def test_gaft_decide_agrees_with_the_built_commas():
     """The decision reads the comma's objects and hom sets only; on every
-    pinned functor it picks what the full comma's first initial object
-    gives, and fails at the first anchor whose full comma has none."""
-    failures = 0
-    for G in _pinned_functors():
+    pinned functor and inflation it picks what the full comma's first
+    initial object gives, and fails at the first anchor whose full comma
+    has none."""
+    failures = several = 0
+    for G in _pinned_functors() + _inflated_functors():
         witnesses, none_at = {}, None
         for c in G.target.objects:
             comma = comma_under(G, c)
@@ -100,6 +111,7 @@ def test_gaft_decide_agrees_with_the_built_commas():
             if not init:
                 none_at = c
                 break
+            several += len(init) > 1
             witnesses[c] = comma.pairs[init[0]]
         res = gaft_decide(G)
         if none_at is not None:
@@ -109,6 +121,39 @@ def test_gaft_decide_agrees_with_the_built_commas():
             F, unit = res.certificate.left, res.certificate.unit
             assert {c: (F.obj_map[c], unit[c]) for c in G.target.objects} == witnesses
     assert 0 < failures < 525
+    assert several == 81  # commas where the first initial object must win over later ones
+
+
+def test_hom_view_lists_the_built_comma_hom_sets():
+    """The view's hom(i, j), computed on demand, is the built comma's hom
+    set between the matching objects, projected, in the same order."""
+    for G in _pinned_functors():
+        for c in G.target.objects:
+            objects, view = adjoint._hom_view(G, c)
+            comma = comma_under(G, c)
+            names = list(comma.base.objects)
+            assert [comma.pairs[o] for o in names] == objects
+            assert view.objects == range(len(names))
+            for i in view.objects:
+                for j in view.objects:
+                    built = [comma.projection.mor_map[m] for m in comma.base.hom(names[i], names[j])]
+                    assert view.hom(i, j) == built
+
+
+def test_gaft_decide_stops_at_the_first_initial_object(monkeypatch):
+    """bot.1 is initial under bot as bot.0 is, and b.1, b.2 under b as b.0
+    is; the decision asks about the first object of each comma only."""
+    real, asked = limits.is_initial, []  # (view, object, verdict) per question
+
+    def is_initial(C, x):
+        asked.append((C, x, real(C, x)))
+        return asked[-1][2]
+
+    monkeypatch.setattr(limits, "is_initial", is_initial)
+    res = gaft_decide(sweeps.inflate(CATS["diamond"], [2, 1, 3, 1]))
+    assert res.certificate.left.obj_map == {"bot": "bot.0", "a": "a.0", "b": "b.0", "top": "top.0"}
+    assert [(x, verdict) for _, x, verdict in asked] == [(0, True)] * 4
+    assert len({id(view) for view, _, _ in asked}) == 4  # one question per anchor's comma
 
 
 # sha256 of gaft_decide(G).to_json_dict() for every G below, one JSON
