@@ -75,6 +75,12 @@ def validate_set_functor(C: FinCategory, raw: Mapping) -> SetFunctor:
     check_shape(raw, {"on_objects": {str: [str]}, "on_morphisms": {str: {str: str}}})
     on_objects = {x: tuple(v) for x, v in raw["on_objects"].items()}
     on_morphisms = {f: dict(t) for f, t in raw["on_morphisms"].items()}
+    stray = [x for x in on_objects if not C.has_object(x)] + [f for f in on_morphisms if not C.has_morphism(f)]
+    if stray:
+        raise CategoryError(f"{sorted(stray)} are assigned values but are not in the category")
+    for x, v in on_objects.items():
+        if len(set(v)) != len(v):
+            raise CategoryError(f"F({x!r}) lists an element more than once")
     for x in C.objects:
         if x not in on_objects:
             raise UnknownObject(f"object {x!r} has no value set")
@@ -129,10 +135,10 @@ def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
     for _, (x, y), cocones in limits.limit_cones(opposite(C), "products"):
         if not cocones:
             raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
-        for cc in cocones:
-            i1, i2 = cc.legs["j0"], cc.legs["j1"]
+        for apex, legs in cocones:
+            i1, i2 = legs["j0"], legs["j1"]
             seen = {}
-            for a in F.at(cc.apex):
+            for a in F.at(apex):
                 pair = (F.restrict(i1, a), F.restrict(i2, a))
                 if pair in seen:
                     return ConditionReport(
@@ -155,9 +161,9 @@ def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
     for _, (f, g), pos in limits.limit_cones(opposite(C), "pullbacks"):
         if not pos:
             raise PushoutAbsent(f"no pushout of the span ({f!r}, {g!r})")
-        for cc in pos:
-            p, q = cc.legs["j0"], cc.legs["j1"]
-            hit = {(F.restrict(p, a), F.restrict(q, a)) for a in F.at(cc.apex)}
+        for apex, legs in pos:
+            p, q = legs["j0"], legs["j1"]
+            hit = {(F.restrict(p, a), F.restrict(q, a)) for a in F.at(apex)}
             for b in F.at(C.dst(f)):
                 for c2 in F.at(C.dst(g)):
                     if F.restrict(f, b) != F.restrict(g, c2):
@@ -166,7 +172,7 @@ def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
                         return ConditionReport(
                             False,
                             {
-                                "square": {"span": [f, g], "apex": cc.apex, "legs": [p, q]},
+                                "square": {"span": [f, g], "apex": apex, "legs": [p, q]},
                                 "missing": [b, c2],
                             },
                         )
@@ -306,11 +312,10 @@ def check_B1p_B2p(F: FinFunctor) -> ConditionReport:
             )
     Fop = opposite_functor(F)
     for kind, colimit, weak in (("products", "coproduct", False), ("pullbacks", "pushout", True)):
-        for _, data, ls in limits.limit_cones(opposite(C), kind):
+        for name, data, ls in limits.limit_cones(Fop.source, kind):
             if not ls:
                 raise ColimitAbsent(f"source has no {colimit} of ({data[0]!r}, {data[1]!r})")
-            for cc in ls:
-                img = limits.image_cone(Fop, cc)
+            for img in limits.image_cones(Fop, name, data, ls):
                 if not limits.is_limit_cone(Fop.target, img, weak=weak):
                     return ConditionReport(
                         False, {"colimit": [colimit, *data], "image_apex": img.apex}

@@ -172,12 +172,30 @@ def has_finite_limits(C: FinCategory) -> FiniteLimitsReport:
     return FiniteLimitsReport(True, None)
 
 
-def image_cone(G: FinFunctor, cone: Cone) -> Cone:
-    return Cone(
-        compose_functors(G, cone.diagram),
-        G.obj_map[cone.apex],
-        {j: G.mor_map[leg] for j, leg in cone.legs.items()},
-    )
+# the diagram of each instance, from C and the instance's data
+_DIAGRAMS = {
+    "terminal": empty_diagram,
+    "product": pair_diagram,
+    "equalizer": parallel_diagram,
+    "pullback": cospan_diagram,
+}
+
+
+def _instances(C: FinCategory, kind: str) -> list[tuple[str, tuple]]:
+    """(name, data) per instance of `kind`, in `limit_instances` order."""
+    if kind == "terminal":
+        return [("terminal", ())]
+    if kind == "products":
+        return [("product", p) for p in itertools.combinations_with_replacement(C.objects, 2)]
+    if kind == "equalizers":
+        return [("equalizer", p) for x in C.objects for y in C.objects for p in itertools.combinations(C.hom(x, y), 2)]
+    if kind == "pullbacks":
+        return [
+            ("pullback", (f.id, g.id))
+            for f, g in itertools.combinations_with_replacement(C.morphisms, 2)
+            if f.dst == g.dst
+        ]
+    raise ValueError(f"unknown limit kind {kind!r}")
 
 
 def limit_instances(C: FinCategory, kind: str):
@@ -185,47 +203,41 @@ def limit_instances(C: FinCategory, kind: str):
     pair comes once, first member first: its mirror has the same limit cones
     with legs swapped, so `preserves_limits` and `brown`'s checks agree on
     both, and it comes after the pair, so no first failure (witness) moves."""
-    if kind == "terminal":
-        yield ("terminal", (), empty_diagram(C))
-    elif kind == "products":
-        for x, y in itertools.combinations_with_replacement(C.objects, 2):
-            yield ("product", (x, y), pair_diagram(C, x, y))
-    elif kind == "equalizers":
-        for x in C.objects:
-            for y in C.objects:
-                for f, g in itertools.combinations(C.hom(x, y), 2):
-                    yield ("equalizer", (f, g), parallel_diagram(C, f, g))
-    elif kind == "pullbacks":
-        for f, g in itertools.combinations_with_replacement(C.morphisms, 2):
-            if f.dst == g.dst:
-                yield ("pullback", (f.id, g.id), cospan_diagram(C, f.id, g.id))
-    else:
-        raise ValueError(f"unknown limit kind {kind!r}")
+    for name, data in _instances(C, kind):
+        yield name, data, _DIAGRAMS[name](C, *data)
 
 
 KINDS = ("terminal", "products", "equalizers", "pullbacks")
 
 
-def limit_cones(C: FinCategory, kind: str) -> Iterator[tuple[str, tuple, list[Cone]]]:
+def image_cones(G: FinFunctor, name: str, data: tuple, ls) -> Iterator[Cone]:
+    """G's images of the cones (apex, legs) in `ls` over the instance `name`
+    of `data` in G's source, each a cone over G after that instance's diagram."""
+    diagram = compose_functors(G, _DIAGRAMS[name](G.source, *data))
+    for apex, legs in ls:
+        yield Cone(diagram, G.obj_map[apex], {j: G.mor_map[leg] for j, leg in legs.items()})
+
+
+def limit_cones(C: FinCategory, kind: str) -> Iterator[tuple[str, tuple, tuple[tuple[str, dict], ...]]]:
     """(name, data, limit cones) for each instance of `kind`, in
-    `limit_instances` order; C's colimits are the table of `opposite(C)`.
-    The table is kept in C's instance dictionary, as `_inverse` is kept, so
-    readers of C's limits, interleaved or not, read the cones one computation
-    found.  It is filled one instance at a time, only as far as a reader
-    reads: a reader that stops at an instance without cones computes none past it."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown limit kind {kind!r}")
+    `limit_instances` order, each cone as its (apex, legs); C's colimits are
+    the table of `opposite(C)`.  The table is kept in C's instance
+    dictionary, as `_inverse` is kept, so readers of C's limits, interleaved
+    or not, read the cones one computation found.  It is filled one instance
+    at a time, only as far as a reader reads: a reader that stops at an
+    instance without cones computes none past it.  It holds plain data only,
+    the instances' names and data and each cone's apex and legs, and no
+    diagram, cone or paused generator, all of which refer back to C, so a
+    category and its table are freed by reference counting alone.  A reader
+    that needs the diagram, for images under a functor, reads `image_cones`."""
     key = f"_limit_cones_{kind}"
     if key not in vars(C):
-        vars(C)[key] = ([], ((name, data, limit(C, d)) for name, data, d in limit_instances(C, kind)))
-    read, pending = vars(C)[key]
-    for i in itertools.count():
-        if i == len(read):
-            entry = next(pending, None)
-            if entry is None:
-                return
-            read.append(entry)
-        yield read[i]
+        vars(C)[key] = (_instances(C, kind), [])
+    instances, found = vars(C)[key]
+    for i, (name, data) in enumerate(instances):
+        if i == len(found):
+            found.append(tuple((c.apex, c.legs) for c in limit(C, _DIAGRAMS[name](C, *data))))
+        yield name, data, found[i]
 
 
 def preserves_limits(G: FinFunctor, kind: str = "all-finite") -> PreservationReport:
@@ -240,8 +252,7 @@ def preserves_limits(G: FinFunctor, kind: str = "all-finite") -> PreservationRep
         for name, data, ls in limit_cones(C, k):
             if not ls:
                 raise LimitAbsentInSource(f"source has no {name} for {data}")
-            for cone in ls:
-                img = image_cone(G, cone)
+            for img in image_cones(G, name, data, ls):
                 if not is_limit_cone(G.target, img):
                     return PreservationReport(
                         False, {"kind": name, "data": data, "apex": img.apex}

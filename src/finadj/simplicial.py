@@ -223,6 +223,9 @@ def validate_sset(K: TruncSSet) -> None:
             if s in seen:
                 raise SimplicialError(f"duplicate simplex id {s!r}")
             seen.add(s)
+    stray = [s for s in K.faces if not K.has(s) or K.dim(s) == 0]
+    if stray:
+        raise SimplicialError(f"{sorted(stray)} are assigned faces but are not simplices of dimension 1 to 3")
     for n in range(1, 4):
         for s in K.ids(n):
             fs = K.faces.get(s)

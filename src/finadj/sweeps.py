@@ -10,6 +10,7 @@ repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -201,21 +202,17 @@ REFLECTION_DRAWS = 200  # all must qualify for `check_initial_reflection`
 
 def generate_reflection_functors(seed: int):
     """Seeded stream of REFLECTION_DRAWS functors whose profiles meet all
-    four hypotheses.  Every draw is named and listed, but a repeated draw
-    lists the functor value its first draw built, so each is inflated once."""
+    four hypotheses, as (name, key, build): `build()` inflates the draw, and
+    draws with one key build equal functors.  The stream inflates nothing
+    and keeps nothing, so a reader that checks each key once inflates each
+    distinct draw once and holds only the functor it is checking."""
     rng = random.Random(seed)
     pool = reflection_pool()
-    built: dict[tuple[int, tuple[int, ...]], FinFunctor] = {}
-    out = []
-    while len(out) < REFLECTION_DRAWS:
+    for n in range(REFLECTION_DRAWS):
         i = rng.randrange(len(pool))
         name, C = pool[i]
         copies = [rng.randint(1, 3) for _ in C.objects]
-        key = (i, tuple(copies))
-        if key not in built:
-            built[key] = inflate(C, copies)
-        out.append((f"{name}x{''.join(map(str, copies))}#{len(out)}", built[key]))
-    return out
+        yield f"{name}x{''.join(map(str, copies))}#{n}", (i, tuple(copies)), functools.partial(inflate, C, copies)
 
 
 # -- fixtures ----------------------------------------------------------------
@@ -261,18 +258,18 @@ def check_initial_reflection(seed: int) -> Tally:
     functors meeting the four hypotheses, and no claim is made for the pz2
     comparison functor, which misses one of them."""
     t = Tally()
-    generated = generate_reflection_functors(seed=seed)
-    reports = {}  # by functor value, which repeated draws share
-    qualifying = 0
-    for name, F in generated:
-        if id(F) not in reports:
-            reports[id(F)] = enriched.initial_reflection_check(F)
-        rep = reports[id(F)]
+    reports = {}  # by draw key, which repeated draws share
+    generated = qualifying = 0
+    for name, key, build in generate_reflection_functors(seed=seed):
+        generated += 1
+        if key not in reports:
+            reports[key] = enriched.initial_reflection_check(build())
+        rep = reports[key]
         if not rep.applies:
             continue
         qualifying += 1
         t.check(rep.reflects is True, {"functor": name, "invariant": "initial_reflection"})
-    t.details = {"reflection_generated": len(generated), "reflection_qualifying": qualifying}
+    t.details = {"reflection_generated": generated, "reflection_qualifying": qualifying}
     if qualifying < REFLECTION_DRAWS:
         t.failures.append({"invariant": "reflection_sample_size", "qualifying": qualifying})
     cmpF, _ = enriched.comparison_functor(corpus.pz2_pick_y(), "x")

@@ -381,6 +381,17 @@ def test_set_functor_validation_catches_broken_tables():
         )
 
 
+def test_set_functor_validation_refuses_entries_nothing_reads():
+    raw = corpus.b2_failing_on_two().to_dict()
+    raw["on_objects"]["q"] = []
+    raw["on_morphisms"]["r"] = {}
+    with pytest.raises(CategoryError, match=r"\['q', 'r'\] are assigned values but are not in the category"):
+        validate_set_functor(CATS["two"], raw)
+    raw = {"on_objects": {"*": ["a", "a"]}, "on_morphisms": {"id_*": {"a": "a"}}}
+    with pytest.raises(CategoryError, match=r"F\('\*'\) lists an element more than once"):
+        validate_set_functor(CATS["one"], raw)
+
+
 # -- the colimit table each category keeps ----------------------------------
 
 

@@ -524,6 +524,11 @@ MALFORMED = {
     "gfunctor obj_map key outside the source": ("gf.json", lambda d: d["obj_map"].update(q="x"), "GpdLawViolation"),
     "simplex dimension is not a number": ("boundary2.json", lambda d: d["simplices"].update(x=[]), "SimplicialError"),
     "restriction table is a list": ("setf.json", lambda d: d["on_morphisms"].update(id_0=["*"]), "ShapeError"),
+    "value set with a repeated element": ("setf.json", lambda d: d["on_objects"]["1"].append("a"), "CategoryError"),
+    "value set of an object outside the category": ("setf.json", lambda d: d["on_objects"].update(q=[]), "CategoryError"),
+    "restriction table of a morphism outside the category": ("setf.json", lambda d: d["on_morphisms"].update(q={}), "CategoryError"),
+    "faces of a simplex the file does not list": ("boundary2.json", lambda d: d["faces"].update(q=["0", "1"]), "SimplicialError"),
+    "faces of a vertex": ("boundary2.json", lambda d: d["faces"].update({"0": []}), "SimplicialError"),
     "category without morphisms": ("chain3.json", lambda d: d.pop("morphisms"), "ShapeError"),
     "functor without source": ("g.json", lambda d: d.pop("source"), "ShapeError"),
     "gfunctor without target": ("gf.json", lambda d: d.pop("target"), "GpdLawViolation"),
@@ -542,6 +547,19 @@ def test_malformed_files_are_invalid_and_exit_two(files, case):
     assert code == 0 and cert["verdict"] == "invalid"
     assert cert["witness"]["error"] == error, cert["witness"]
     assert run(other) == 2
+
+
+def test_a_value_set_with_a_repeated_element_is_refused_by_every_reader(files):
+    # a list with a repeated element is no set: b1 would count the element twice, represent once
+    tmp_path, _, write = files
+    one = write("one.json", corpus.one().to_dict())
+    setf = write("repeated.json", {"on_objects": {"*": ["a", "a"]}, "on_morphisms": {"id_*": {"a": "a"}}})
+    code, cert = _run_to(tmp_path, ["validate", "--category", one, "--setfunctor", setf])
+    assert code == 0 and cert["verdict"] == "invalid"
+    assert cert["witness"]["error"] == "CategoryError", cert["witness"]
+    checks = [["--check", check] for check, reads in BROWN_READS.items() if "--setfunctor" in reads]
+    for check in [[], *checks]:
+        assert run(["brown", "--category", one, "--setfunctor", setf, *check]) == 2, check
 
 
 # sha256 of the exit code, stdout and stderr of every cli-mix argv in order,

@@ -1,7 +1,9 @@
 import copy
+import gc
 import hashlib
 import json
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -508,7 +510,7 @@ def test_single_entry_mutants_are_rejected_unless_pinned():
 
 
 def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
-    draws = {name.split("#")[0] for name, _ in sweeps.generate_reflection_functors(seed=0)}
+    draws = {name.split("#")[0] for name, *_ in sweeps.generate_reflection_functors(seed=0)}
     calls = Counter()
 
     def counted(fn):
@@ -525,6 +527,24 @@ def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
     # 124 distinct draws of 200; one more check for the pz2 comparison functor
     assert len(draws) == 124
     assert calls == {"inflate": 124, "initial_reflection_check": 125}
+
+
+def test_reflection_sweep_holds_one_functor_at_a_time(monkeypatch):
+    # each draw's functor is freed by reference counting once it is checked
+    refs, check = [], enriched.initial_reflection_check
+
+    def checked_alone(F):
+        assert all(r() is None for r in refs)
+        refs.append(weakref.ref(F))
+        return check(F)
+
+    monkeypatch.setattr(enriched, "initial_reflection_check", checked_alone)
+    gc.disable()
+    try:
+        tally = sweeps.check_initial_reflection(seed=0)
+    finally:
+        gc.enable()
+    assert tally.checks == 201 and not tally.failures and len(refs) == 125
 
 
 def test_enriched_comma_cells_are_named_injectively(tmp_path):

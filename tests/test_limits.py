@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import pytest
@@ -94,14 +96,46 @@ def test_preserves_limits_requires_source_limits():
         preserves_limits(F, "equalizers")
 
 
-def test_limit_cones_are_computed_once_per_value():
+def test_limit_cones_are_computed_once_per_value(monkeypatch):
+    calls, limit_ = Counter(), limits.limit
+
+    def counted_limit(C, diagram, **kw):
+        calls[tuple(diagram.obj_map.values())] += 1
+        return limit_(C, diagram, **kw)
+
+    monkeypatch.setattr(limits, "limit", counted_limit)
     C = corpus.diamond()
+    instances = list(limit_instances(C, "products"))
     first = list(limit_cones(C, "products"))
-    assert first == [(name, data, limit(C, d)) for name, data, d in limit_instances(C, "products")]
-    assert all(a is b for a, b in zip(first, limit_cones(C, "products")))
+    assert first == [(name, data, tuple((c.apex, c.legs) for c in limit_(C, d))) for name, data, d in instances]
+    assert list(limit_cones(C, "products")) == first
+    assert calls == Counter({data: 1 for _, data, _ in instances})
+    # a reader that stops at pp's product of a and b, which has no cones, computes none past it
+    calls.clear()
+    P = corpus.pp()
+    assert next(data for _, data, ls in limit_cones(P, "products") if not ls) == ("a", "b")
+    assert calls == {("a", "a"): 1, ("a", "b"): 1}
     for _ in range(2):  # an unknown kind leaves no table behind
         with pytest.raises(ValueError):
             list(limit_cones(C, "coequalizers"))
+
+
+def test_categories_with_limit_tables_are_freed_by_reference_counting():
+    # no table refers back to its category, so no cycle waits for the collector
+    gc.disable()
+    try:
+        C = corpus.diamond()
+        Cop = opposite(C)
+        for kind in KINDS:
+            list(limit_cones(C, kind))
+            list(limit_cones(Cop, kind))
+        P = corpus.pp()
+        next(ls for _, _, ls in limit_cones(P, "products") if not ls)
+        refs = [weakref.ref(x) for x in (C, Cop, P)]
+        del C, Cop, P
+        assert [r() for r in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_compare_computes_each_limit_of_its_source_once(monkeypatch):

@@ -154,6 +154,13 @@ def test_simplicial_identity_violations_are_caught():
         )
 
 
+def test_faces_of_vertices_and_unlisted_simplices_are_refused():
+    raw = boundary_simplex(2).to_dict()
+    raw["faces"].update({"0": [], "q": ["0", "1"]})
+    with pytest.raises(SimplicialError, match=r"\['0', 'q'\] are assigned faces but are not simplices"):
+        sset_from_dict(raw)
+
+
 def test_tau1_of_boundary_has_two_diagonals():
     C = tau1(boundary_simplex(2))
     assert len(C.hom("0", "2")) == 2
