@@ -13,6 +13,18 @@ neither reads, is built only by `comma_under`.  The adjoint assembled from
 the initial objects is re-checked by `verify_adjunction`, whose hom
 bijections are exactly their initiality.
 
+The loops on the decision's path (`_comma_objects`, the view's `hom`,
+`construct_left_adjoint`'s image filter and `verify_adjunction`) look up
+their categories' tables once, before the loop, and read them directly:
+`compose_table`, and the hom index `_hom` that `FinCategory.hom` reads.
+Every composite is read after the ends that make it defined are checked,
+and a `FinCategory` defines `compose_table` on exactly the composable
+pairs, so no read misses.  The hom index is read rather than a bound
+`hom` method because the call, not the lookup, is most of the cost of a
+hom read: against method calls throughout, reading the index measured
++19.5% instances/s on decide-large (seed 0, 2 vCPUs), and a bound `hom`
+3-11%.  `FinCategory` states the index's contract.
+
 `brute_force_left_adjoint` is the independent check: it enumerates every
 candidate functor and unit within configured bounds and verifies the hom
 bijections directly.
@@ -68,7 +80,7 @@ class Comma:
 class AdjunctionCertificate:
     """A left adjoint F of G and its unit: each u_c: c -> G F c is initial
     in the comma under c, which is all an adjunction needs.  The hom
-    bijections follow from the unit, and `verify_adjunction` computes them."""
+    bijections follow from the unit, and `verify_adjunction` checks them."""
 
     left: FinFunctor
     right: FinFunctor
@@ -120,7 +132,8 @@ def _comma_objects(G: FinFunctor, c: str) -> list[tuple[str, str]]:
     D, C = G.source, G.target
     if not C.has_object(c):
         raise UnknownObject(f"{c!r} is not an object of the target")
-    return [(d, u) for d in D.objects for u in C.hom(c, G.obj_map[d])]
+    hom, Gobj = C._hom.get, G.obj_map
+    return [(d, u) for d in D.objects for u in hom((c, Gobj[d]), ())]
 
 
 def _hom_view(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], SimpleNamespace]:
@@ -129,13 +142,14 @@ def _hom_view(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], SimpleNames
     initiality read.  `hom(i, j)` is computed when asked, each time: the
     morphisms phi of D.hom(d_i, d_j), in declared order, with
     G(phi) o u_i == u_j, as `comma_under` lists their lifts.  No comma
-    morphism is listed before a reader asks for its hom set."""
-    D, C = G.source, G.target
+    morphism is listed before a reader asks for its hom set.  Each
+    composite G(phi) o u is defined, as u: c -> G d_i and phi: d_i -> d_j."""
     objects = _comma_objects(G, c)
+    Dhom, table, Gmor = G.source._hom.get, G.target.compose_table, G.mor_map
 
     def hom(i: int, j: int) -> list[str]:
         (d, u), (d2, u2) = objects[i], objects[j]
-        return [phi for phi in D.hom(d, d2) if C.compose(G.mor_map[phi], u) == u2]
+        return [phi for phi in Dhom((d, d2), ()) if table[(Gmor[phi], u)] == u2]
 
     return objects, SimpleNamespace(objects=range(len(objects)), hom=hom)
 
@@ -216,7 +230,8 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     initiality provides.  No comma is built: (d_c, u_c) is initial exactly
     when g -> G(g) o u_c is a bijection hom(d_c, d) -> hom(c, G d) for
     every d, which `verify_adjunction` checks with every other certificate
-    invariant before returning.
+    invariant before returning.  Once each u_c is checked to go from c to
+    G d_c, every composite the image filter reads is defined.
     """
     D, C = G.source, G.target
     for c, (d, u) in witnesses.items():
@@ -225,16 +240,12 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     obj_map = {c: witnesses[c][0] for c in C.objects}
     unit = {c: witnesses[c][1] for c in C.objects}
     mor_map = {}
+    Dhom, table, Gmor = D._hom.get, C.compose_table, G.mor_map
     for m in C.morphisms:
-        c, c2 = m.src, m.dst
-        dc, uc = witnesses[c]
-        dc2, uc2 = witnesses[c2]
-        target_u = C.compose(uc2, m.id)  # object (d_{c'}, u_{c'} o f) of the comma at c
-        arrows = [
-            phi
-            for phi in D.hom(dc, dc2)
-            if C.compose(G.mor_map[phi], uc) == target_u
-        ]
+        dc, uc = witnesses[m.src]
+        dc2, uc2 = witnesses[m.dst]
+        target_u = table[(uc2, m.id)]  # object (d_{c'}, u_{c'} o f) of the comma at c
+        arrows = [phi for phi in Dhom((dc, dc2), ()) if table[(Gmor[phi], uc)] == target_u]
         if len(arrows) != 1:
             raise WitnessNotInitial(
                 f"initiality failed to give a unique image for {m.id!r} ({len(arrows)} candidates)"
@@ -250,25 +261,51 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
 
 
 def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
-    """Exhaustively check unit naturality and every hom bijection
-    g -> G(g) o u_c from hom(F c, d) to hom(c, G d)."""
+    """Exhaustively check the unit, the ends of the left adjoint F, unit
+    naturality and every hom bijection g -> G(g) o u_c from hom(F c, d) to
+    hom(c, G d), and name the first violation, in this order: per object
+    c, an image F c that is not an object of D, then a missing unit
+    component, then one not from c to G F c; per morphism m, an image F m
+    that is not a morphism from F(src m) to F(dst m), then naturality at m;
+    per pair (c, d), injectivity, then surjectivity.
+
+    F's identities and composites need no check of their own: once its
+    ends are right, naturality and injectivity force them.  F(id_c) and
+    id_{F c} both map to u_c under the map at (c, F c); for m: c -> c'
+    and n: c' -> c'', F(n o m) and F(n) o F(m) both map to u_c'' o n o m
+    under the map at (c, F c''), as G(F n o F m) o u_c = G(F n) o u_c' o m.
+    So a certificate that passes has a functor for F.
+
+    The tables are read directly: each composite is read after the ends
+    that define it are checked.  A pair (c, d) whose two hom sets are both
+    empty is skipped, as its map is trivially a bijection."""
     F, G, unit = cert.left, cert.right, cert.unit
     C, D = F.source, F.target
+    Fobj, Fmor, Gobj, Gmor = F.obj_map, F.mor_map, G.obj_map, G.mor_map
+    not_functor = "left adjoint is not a functor"
     for c in C.objects:
+        if not D.has_object(Fobj.get(c)):
+            return VerificationResult(False, f"{not_functor}: F({c!r}) is not an object of its target")
         u = unit.get(c)
         if u is None or not C.has_morphism(u):
             return VerificationResult(False, f"unit component missing at {c!r}")
-        if C.src(u) != c or C.dst(u) != G.obj_map[F.obj_map[c]]:
+        if C.src(u) != c or C.dst(u) != Gobj[Fobj[c]]:
             return VerificationResult(False, f"unit component at {c!r} has wrong endpoints")
+    table, Chom, Dhom = C.compose_table, C._hom.get, D._hom.get
     for m in C.morphisms:
-        lhs = C.compose(G.mor_map[F.mor_map[m.id]], unit[m.src])
-        rhs = C.compose(unit[m.dst], m.id)
-        if lhs != rhs:
+        fm = Fmor.get(m.id)
+        if fm not in Dhom((Fobj[m.src], Fobj[m.dst]), ()):
+            ends = f"from F({m.src!r}) to F({m.dst!r})"
+            return VerificationResult(False, f"{not_functor}: F({m.id!r}) is not a morphism {ends}")
+        if table[(Gmor[fm], unit[m.src])] != table[(unit[m.dst], m.id)]:
             return VerificationResult(False, f"unit naturality fails at {m.id!r}")
     for c in C.objects:
+        fc, u = Fobj[c], unit[c]
         for d in D.objects:
-            homs, target = D.hom(F.obj_map[c], d), C.hom(c, G.obj_map[d])
-            values = {C.compose(G.mor_map[g], unit[c]) for g in homs}
+            homs, target = Dhom((fc, d), ()), Chom((c, Gobj[d]), ())
+            if not (homs or target):
+                continue
+            values = {table[(Gmor[g], u)] for g in homs}
             if len(values) != len(homs):
                 return VerificationResult(False, f"hom map at ({c!r}, {d!r}) is not injective")
             # a hom set lists no morphism twice, so this is values == set(target)

@@ -110,9 +110,13 @@ class FinCategory:
     """A finite category: ordered objects, ordered morphisms, total table.
 
     `compose_table[(g, f)]` is g after f, defined exactly when
-    dst(f) == src(g).  Instances are treated as immutable after
-    construction.  The hom index is built with the value; the inverse
-    table behind `is_iso` and `inverse` is computed on first use.
+    dst(f) == src(g): a reader that has checked the ends may index it
+    directly.  Instances are treated as immutable after construction.  The
+    hom index `_hom` is built with the value: `_hom[(x, y)]` is hom(x, y),
+    a tuple in declared order, and an empty hom set has no key.  It is
+    what `hom` reads, and the adjoint decision's loops read it directly.
+    The inverse table behind `is_iso` and `inverse` is computed on first
+    use.
     """
 
     objects: tuple[str, ...]
@@ -535,24 +539,32 @@ class FunctorProfile:
 
 
 def check_functor_laws(F: FinFunctor) -> None:
+    """Raise NotFunctorial at the first broken functor law of F between
+    two categories: an image of something not in the source, an object or
+    morphism without a valid image, an image with the wrong ends, an
+    identity not sent to an identity, then a composite not preserved.
+    Once every image has the right ends, each composite of images is
+    defined, so the composite loop reads D's table directly."""
     C, D = F.source, F.target
-    stray = (F.obj_map.keys() - C._obj_index.keys()) | (F.mor_map.keys() - C._mor.keys())
+    obj_map, mor_map = F.obj_map, F.mor_map
+    stray = (obj_map.keys() - C._obj_index.keys()) | (mor_map.keys() - C._mor.keys())
     if stray:
         raise NotFunctorial(f"{sorted(stray)} are assigned images but are not in the source")
     for x in C.objects:
-        if F.obj_map.get(x) is None or not D.has_object(F.obj_map[x]):
+        if obj_map.get(x) is None or not D.has_object(obj_map[x]):
             raise NotFunctorial(f"object {x!r} has no valid image")
     for m in C.morphisms:
-        fm = F.mor_map.get(m.id)
-        if fm is None or not D.has_morphism(fm):
+        fm = D._mor.get(mor_map.get(m.id))
+        if fm is None:
             raise NotFunctorial(f"morphism {m.id!r} has no valid image")
-        if D.src(fm) != F.obj_map[m.src] or D.dst(fm) != F.obj_map[m.dst]:
+        if fm.src != obj_map[m.src] or fm.dst != obj_map[m.dst]:
             raise NotFunctorial(f"image of {m.id!r} has wrong endpoints")
     for x in C.objects:
-        if F.mor_map[C.id_of(x)] != D.id_of(F.obj_map[x]):
+        if mor_map[C.id_of(x)] != D.id_of(obj_map[x]):
             raise NotFunctorial(f"identity of {x!r} is not sent to an identity")
+    table = D.compose_table
     for (g, f), gf in C.compose_table.items():
-        if D.compose(F.mor_map[g], F.mor_map[f]) != F.mor_map[gf]:
+        if table[(mor_map[g], mor_map[f])] != mor_map[gf]:
             raise NotFunctorial(f"composite {g} o {f} is not preserved")
 
 

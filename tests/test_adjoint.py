@@ -8,6 +8,7 @@ from finadj import adjoint, corpus, fincat, limits, sweeps
 from finadj.adjoint import (
     AdjunctionCertificate,
     OracleBoundExceeded,
+    VerificationResult,
     WitnessNotInitial,
     brute_force_left_adjoint,
     comma_over,
@@ -276,8 +277,59 @@ def test_verify_adjunction_flags_mutated_unit():
     cert = res.certificate
     assert cert.unit["0"] == "id_0"
     mutated = AdjunctionCertificate(cert.left, cert.right, {**cert.unit, "0": "0<1"})
-    out = verify_adjunction(mutated)
-    assert not out.ok and out.violation is not None
+    assert verify_adjunction(mutated) == VerificationResult(False, "unit component at '0' has wrong endpoints")
+
+
+def _certificate(G, obj_map, mor_map, unit):
+    """A certificate whose left adjoint is taken as given, functor or not."""
+    return AdjunctionCertificate(fincat.FinFunctor(G.target, G.source, obj_map, mor_map), G, unit)
+
+
+def _violations():
+    """A certificate and its first violation for each kind of violation
+    that `test_verify_adjunction_flags_mutated_unit` does not pin, on small
+    corpus categories; where two pairs (c, d) fail, the first in the order
+    c, then d is named."""
+    two, pp, vee = CATS["two"], CATS["pp"], CATS["vee"]
+    G = identity_functor(CATS["chain3"])
+    ids = {x: f"id_{x}" for x in "012"}
+    cases = [
+        (_certificate(G, G.obj_map, G.mor_map, {"0": "id_0", "2": "id_2"}), "unit component missing at '1'"),
+        (_certificate(G, {"0": "0", "1": "1"}, G.mor_map, ids), "left adjoint is not a functor: F('2') is not an object of its target"),
+    ]
+    # a functor sending f to g: its ends are right, naturality at f is not
+    G = identity_functor(pp)
+    swapped = {"id_a": "id_a", "id_b": "id_b", "f": "g", "g": "g"}
+    cases.append((_certificate(G, G.obj_map, swapped, {"a": "id_a", "b": "id_b"}), "unit naturality fails at 'f'"))
+    # G sends f and g to 0<1
+    G = corpus.functor(pp, two, {"a": "0", "b": "1"}, {"f": "0<1", "g": "0<1"})
+    F = corpus.functor(two, pp, {"0": "a", "1": "b"}, {"0<1": "f"})
+    cases.append((AdjunctionCertificate(F, G, {"0": "id_0", "1": "id_1"}), "hom map at ('0', 'b') is not injective"))
+    # hom(F 0, y) and hom(F 1, x) are empty, hom(0, G y) and hom(1, G x) are not
+    G = corpus.monotone_functor(vee, two, {"x": "1", "y": "0", "z": "1"})
+    F = corpus.monotone_functor(two, vee, {"0": "x", "1": "z"})
+    cases.append((AdjunctionCertificate(F, G, {"0": "0<1", "1": "id_1"}), "hom map at ('0', 'y') is not surjective"))
+    kinds = ("unit-missing", "not-a-functor", "naturality", "not-injective", "not-surjective")
+    return [pytest.param(cert, violation, id=kind) for kind, (cert, violation) in zip(kinds, cases)]
+
+
+@pytest.mark.parametrize("cert, violation", _violations())
+def test_verify_adjunction_names_the_first_violation(cert, violation):
+    assert verify_adjunction(cert) == VerificationResult(False, violation)
+
+
+def test_verify_adjunction_refuses_a_left_adjoint_that_is_not_a_functor():
+    G = sweeps.inflate(corpus.two(), [2, 1])
+    cert = gaft_decide(G).certificate
+    F = cert.left
+    assert (F.obj_map["0"], F.mor_map["0<1"]) == ("0.0", "(0<1):0.0>1.0")
+    # (0<1):0.1>1.0 lies over 0<1, so naturality and every hom bijection hold,
+    # but it starts at 0.1, not at F(0)
+    moved = {**F.mor_map, "0<1": "(0<1):0.1>1.0"}
+    missing = {m: g for m, g in F.mor_map.items() if m != "0<1"}
+    violation = "left adjoint is not a functor: F('0<1') is not a morphism from F('0') to F('1')"
+    for mor_map in (moved, missing):
+        assert verify_adjunction(_certificate(G, F.obj_map, mor_map, cert.unit)) == VerificationResult(False, violation)
 
 
 # sha256 of the oracle's exact answers: compact JSON (separators "," and
