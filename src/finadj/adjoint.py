@@ -11,7 +11,8 @@ asked, so the decision stops at each comma's first initial object without
 listing the comma's other morphisms.  The composition table, which
 neither reads, is built only by `comma_under`.  The adjoint assembled from
 the initial objects is re-checked by `verify_adjunction`, whose hom
-bijections are exactly their initiality.
+bijections are exactly their initiality, and which is its one check: F's
+functor laws follow from it, so no `check_functor_laws` runs on F.
 
 The loops on the decision's path (`_comma_objects`, the view's `hom`,
 `construct_left_adjoint`'s image filter and `verify_adjunction`) look up
@@ -42,7 +43,6 @@ from .fincat import (
     FinFunctor,
     UnknownObject,
     category_over,
-    check_functor_laws,
     escape,
     functor_space,
     isomorphic,
@@ -230,8 +230,10 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     initiality provides.  No comma is built: (d_c, u_c) is initial exactly
     when g -> G(g) o u_c is a bijection hom(d_c, d) -> hom(c, G d) for
     every d, which `verify_adjunction` checks with every other certificate
-    invariant before returning.  Once each u_c is checked to go from c to
-    G d_c, every composite the image filter reads is defined.
+    invariant before returning.  That check also makes F a functor (see
+    there), so F's functor laws are not checked apart.  Once each u_c is
+    checked to go from c to G d_c, every composite the image filter reads
+    is defined.
     """
     D, C = G.source, G.target
     for c, (d, u) in witnesses.items():
@@ -251,9 +253,7 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
                 f"initiality failed to give a unique image for {m.id!r} ({len(arrows)} candidates)"
             )
         mor_map[m.id] = arrows[0]
-    F = FinFunctor(C, D, obj_map, mor_map)
-    check_functor_laws(F)
-    cert = AdjunctionCertificate(F, G, unit)
+    cert = AdjunctionCertificate(FinFunctor(C, D, obj_map, mor_map), G, unit)
     result = verify_adjunction(cert)
     if not result.ok:
         raise WitnessNotInitial(f"constructed certificate fails verification: {result.violation}")

@@ -169,13 +169,13 @@ def check_gcat(G: GpdCategory) -> None:
     _law("source", check_functor_laws, FinFunctor(arrows, cells, objs, src))
     _law("target", check_functor_laws, FinFunctor(arrows, cells, objs, dst))
     _law("identity 2-cells", check_functor_laws, FinFunctor(cells, arrows, objs, id2))
-    vpairs = {loc: list(g.composable_pairs()) for loc, g in G.homs.items()}
-    for (x, y), pairs_xy in vpairs.items():
-        for (y2, z), pairs_yz in vpairs.items():
+    # check_laws has passed, so each table's keys are exactly its composable pairs
+    for (x, y), hom_xy in G.homs.items():
+        for (y2, z), hom_yz in G.homs.items():
             if y2 != y:
                 continue
-            for a2, a in pairs_xy:
-                for b2, b in pairs_yz:
+            for a2, a in hom_xy.compose_table:
+                for b2, b in hom_yz.compose_table:
                     lhs = G.hcomp2(G.vcomp(b2, b), G.vcomp(a2, a))
                     rhs = G.vcomp(G.hcomp2(b2, a2), G.hcomp2(b, a))
                     if lhs != rhs:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CLOSURE_BOUND = 10_000
@@ -193,13 +193,6 @@ class FinCategory:
     def morphism_ids(self) -> tuple[str, ...]:
         return tuple(m.id for m in self.morphisms)
 
-    def composable_pairs(self) -> Iterator[tuple[str, str]]:
-        """All (g, f) with dst(f) == src(g), in declared order."""
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if f.dst == g.src:
-                    yield (g.id, f.id)
-
     def to_dict(self) -> dict:
         return {
             "objects": list(self.objects),
@@ -212,19 +205,30 @@ class FinCategory:
 def check_laws(C: FinCategory) -> None:
     """Re-assert the category laws on an already built value.
 
-    Checks, in this order: every object has an identity endomorphism, no
-    identity is declared for an unknown object, every morphism has known
-    ends, every compose entry names known, composable morphisms and has the
-    right ends, every composable pair has an entry, the unit laws, and
-    associativity over the composable triples.  Raises the matching error
-    on the first violated law.  Used after every internal construction, so
-    nothing depends on a constructor being right.  `category_over` does not
-    call it: its construction guarantees most of these laws, and it checks
-    the rest itself (see there).
+    Checks, in this order: every object has a declared identity, which is
+    a morphism and an endomorphism of it; no identity is declared for an
+    unknown object; every morphism has known ends; every compose entry
+    names known, composable morphisms and has the right ends; every
+    composable pair has an entry; the unit laws; and associativity over
+    the composable triples.  Raises the matching error on the first
+    violated law.  `validate_category` checks no law of its own: it runs
+    the first half, up to the composable pairs, on the declared table, and
+    the second on the table once total.  Used after every internal
+    construction, so nothing depends on a constructor being right.
+    `category_over` does not call it: its construction guarantees most of
+    these laws, and it checks the rest itself (see there).
     """
+    _check_entries(C)
+    _check_total(C)
+
+
+def _check_entries(C: FinCategory) -> None:
+    """The first half of `check_laws`: identities, ends, compose entries."""
     mor, table, identity, objects = C._mor, C.compose_table, C.identity, C._obj_index
     for x in C.objects:
-        e = mor.get(identity.get(x))
+        if x not in identity:
+            raise IdentityViolation(f"object {x!r} has no declared identity")
+        e = mor.get(identity[x])
         if e is None:
             raise IdentityViolation(f"object {x!r} has no identity morphism")
         if e.src != x or e.dst != x:
@@ -246,6 +250,13 @@ def check_laws(C: FinCategory) -> None:
                 f"compose({g}, {f}) = {gf} has endpoints "
                 f"{mgf.src!r}->{mgf.dst!r}, expected {mf.src!r}->{mg.dst!r}"
             )
+
+
+def _check_total(C: FinCategory) -> None:
+    """The second half of `check_laws`, on a C that passed the first: every
+    composable pair has an entry, then the unit laws and associativity.
+    Only the first of these raises MissingComposite."""
+    table, identity = C.compose_table, C.identity
     out: dict[str, list[Morphism]] = {}  # by source: only composable pairs and triples are visited
     for m in C.morphisms:
         out.setdefault(m.src, []).append(m)
@@ -310,8 +321,9 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     morphism of D from over[o] to over[o2] (NotFunctorial naming the lift);
     composable lifts whose composite in D has no lift (MissingComposite);
     an object without the lift of its identity, then a lift that breaks a
-    unit law (IdentityViolation, as `check_laws` words them); an object
-    over no object of D (NotFunctorial, as `check_functor_laws` words it);
+    unit law (IdentityViolation, as `check_laws` words an identity that is
+    no morphism and the unit laws); an object over no object of D
+    (NotFunctorial, as `check_functor_laws` words it);
     and a repeated lift (NotFunctorial), which would make the projection P
     unfaithful.  Only a D that breaks its own laws passes the first check
     and fails the unit laws or the object check.
@@ -377,10 +389,16 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
     """Validate raw category data and return a law-abiding FinCategory.
 
     `raw` carries the keys "objects", "morphisms", "identities", "compose".
-    If the compose table only covers some composable pairs, the remaining
-    composites are synthesized by congruence closure over the declared
-    generators, subject to `closure_bound`; entries that force two declared
-    morphisms equal are refused.
+    Checked here, in this order, is only what a built FinCategory cannot
+    show: the shape, repeated object ids, repeated morphism ids, and two
+    compose entries for one pair.  The laws are `check_laws`'s, each run
+    once: its first half on the declared table (identities, ends, compose
+    entries).  The identity composites, always forced, are then filled in.
+    If that makes the table total, the second half (every composable pair,
+    unit laws, associativity) runs on it.  If not, the remaining composites
+    are synthesized by congruence closure over the declared generators,
+    subject to `closure_bound`; entries that force two declared morphisms
+    equal are refused, and `check_laws` runs on the closed category.
     """
     check_shape(raw, _CATEGORY_SHAPE)
     objects = list(raw["objects"])
@@ -390,85 +408,44 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
     ids = [m[0] for m in raw_mors]
     if len(set(ids)) != len(ids):
         raise MissingComposite("duplicate morphism identifiers")
-    known = set(ids)
-    obj_set = set(objects)
-    for mid, src, dst in raw_mors:
-        if src not in obj_set or dst not in obj_set:
-            raise UnknownObject(f"morphism {mid!r} has endpoints outside the object list")
-    identity = dict(raw["identities"])
-    for x in objects:
-        if x not in identity:
-            raise IdentityViolation(f"object {x!r} has no declared identity")
-        if identity[x] not in known:
-            raise IdentityViolation(f"identity of {x!r} is not a declared morphism")
-    endpoints = {mid: (src, dst) for mid, src, dst in raw_mors}
-    for x, e in identity.items():
-        if x not in obj_set:
-            raise UnknownObject(f"identity {e!r} is declared for unknown object {x!r}")
-        if endpoints[e] != (x, x):
-            raise IdentityViolation(f"identity {e!r} of {x!r} is not an endomorphism of it")
-
     table: dict[tuple[str, str], str] = {}
-    for entry in raw.get("compose", []):
-        g, f, gf = entry
-        if g not in known or f not in known or gf not in known:
-            raise MissingComposite(f"compose entry ({g}, {f}) -> {gf} references unknown morphisms")
-        if endpoints[f][1] != endpoints[g][0]:
-            raise MissingComposite(f"compose entry ({g}, {f}) is not composable")
-        (src, _), (_, dst), ends = endpoints[f], endpoints[g], endpoints[gf]
-        if ends != (src, dst):
-            raise MissingComposite(
-                f"compose({g}, {f}) = {gf} has endpoints {ends[0]!r}->{ends[1]!r}, expected {src!r}->{dst!r}"
-            )
-        if table.get((g, f), gf) != gf:
+    for g, f, gf in raw.get("compose", []):
+        if table.setdefault((g, f), gf) != gf:
             raise MissingComposite(f"conflicting compose entries for ({g}, {f})")
-        table[(g, f)] = gf
-
+    C = build_category(objects, raw_mors, raw["identities"], table)
+    _check_entries(C)
     # identity composites are always forced, so fill them before deciding
     # whether the declared table is total
-    identity_ids = set(identity.values())
-    forced = dict(table)
-    for mid, (src, dst) in endpoints.items():
-        forced.setdefault((identity[dst], mid), mid)
-        forced.setdefault((mid, identity[src]), mid)
-    total = all(
-        (g, f) in forced
-        for g in ids
-        for f in ids
-        if endpoints[f][1] == endpoints[g][0]
-    )
-    if total:
-        for (g, f), gf in table.items():
-            if g in identity_ids and gf != f:
-                raise IdentityViolation(f"id o {f} declared as {gf}")
-            if f in identity_ids and gf != g:
-                raise IdentityViolation(f"{g} o id declared as {gf}")
-        C = build_category(objects, raw_mors, identity, forced)
-        check_laws(C)
+    identity, forced = C.identity, dict(table)
+    for m in C.morphisms:
+        forced.setdefault((identity[m.dst], m.id), m.id)
+        forced.setdefault((m.id, identity[m.src]), m.id)
+    C = replace(C, compose_table=forced)
+    try:
+        _check_total(C)
         return C
+    except MissingComposite:
+        pass  # some composable pair has no entry: close the declared table
 
     from .presentation import close_presentation
 
-    generators = [(mid, src, dst) for mid, src, dst in raw_mors if mid not in identity_ids]
+    identity_ids = C._identity_ids
 
     def as_path(mid: str) -> tuple[str, ...]:
         return () if mid in identity_ids else (mid,)
 
-    relations = []
-    for (g, f), gf in table.items():
-        relations.append((endpoints[f][0], as_path(f) + as_path(g), as_path(gf)))
-    C = close_presentation(
+    closed = close_presentation(
         objects=objects,
-        generators=generators,
-        relations=relations,
+        generators=[m for m in raw_mors if m[0] not in identity_ids],
+        relations=[(C.src(f), as_path(f) + as_path(g), as_path(gf)) for (g, f), gf in table.items()],
         identity_names={x: identity[x] for x in objects},
         bound=closure_bound,
     )
-    lost = [mid for mid in ids if not C.has_morphism(mid)]
+    lost = [mid for mid in ids if not closed.has_morphism(mid)]
     if lost:
         raise MissingComposite(f"compose entries make declared morphisms {lost} equal to others")
-    check_laws(C)
-    return C
+    check_laws(closed)
+    return closed
 
 
 def small_category(objects, arrows, compose) -> FinCategory:

@@ -18,6 +18,8 @@ from finadj.fincat import (
     FinCategory,
     FinFunctor,
     Morphism,
+    UnknownObject,
+    build_category,
     category_over,
     check_functor_laws,
     check_laws,
@@ -168,6 +170,122 @@ def test_partial_table_that_makes_declared_morphisms_equal_is_refused():
     raw["compose"].append(["s", "t", "s"])
     with pytest.raises(AssociativityViolation):
         validate_category(raw)
+
+
+# two tables with a 0 -> 1 -> 2 path (f, g) and one 0 -> 2 arrow: chain3 is
+# total, the triangle lists generators only, so validation closes it
+TABLES = {
+    "chain3": (corpus.chain3().to_dict(), "0<1", "1<2"),
+    "triangle": (
+        {
+            "objects": ["0", "1", "2"],
+            "morphisms": [{"id": f"id_{x}", "src": x, "dst": x} for x in "012"]
+            + [{"id": "a", "src": "0", "dst": "1"}, {"id": "b", "src": "1", "dst": "2"}, {"id": "e", "src": "0", "dst": "2"}],
+            "identities": {x: f"id_{x}" for x in "012"},
+            "compose": [],
+        },
+        "a",
+        "b",
+    ),
+}
+
+
+def _built(raw):
+    """`raw` as a FinCategory with no check, one entry per compose pair."""
+    mors = [(m["id"], m["src"], m["dst"]) for m in raw["morphisms"]]
+    return build_category(raw["objects"], mors, raw["identities"], {(g, f): gf for g, f, gf in raw["compose"]})
+
+
+def _set_entry(raw, g, f, gf):
+    raw["compose"] = [e for e in raw["compose"] if e[:2] != [g, f]] + [[g, f, gf]]
+
+
+# each defect edits a table with the path f, g, and names the error and message
+DEFECTS = {
+    "unknown identity": (
+        lambda raw, f, g: raw["identities"].update({"0": "nope"}),
+        IdentityViolation,
+        lambda f, g: "object '0' has no identity morphism",
+    ),
+    "identity not an endomorphism": (
+        lambda raw, f, g: raw["identities"].update({"0": f}),
+        IdentityViolation,
+        lambda f, g: f"identity '{f}' of '0' is not an endomorphism of it",
+    ),
+    "morphism with an unknown end": (
+        lambda raw, f, g: raw["morphisms"].append({"id": "z", "src": "0", "dst": "9"}),
+        UnknownObject,
+        lambda f, g: "morphism 'z' has unknown endpoints",
+    ),
+    "unknown compose entry": (
+        lambda raw, f, g: _set_entry(raw, g, f, "nope"),
+        MissingComposite,
+        lambda f, g: f"compose entry ({g}, {f}) -> nope references unknown morphisms",
+    ),
+    "compose entry not composable": (
+        lambda raw, f, g: _set_entry(raw, f, f, f),
+        MissingComposite,
+        lambda f, g: f"compose entry ({f}, {f}) is not composable",
+    ),
+    "compose entry with wrong ends": (
+        lambda raw, f, g: _set_entry(raw, g, f, f),
+        MissingComposite,
+        lambda f, g: f"compose({g}, {f}) = {f} has endpoints '0'->'1', expected '0'->'2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(TABLES))
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+def test_validation_finds_each_defect_where_check_laws_does(table, defect):
+    # a total table and a generators-only one meet the same check: check_laws's
+    raw, f, g = TABLES[table]
+    raw = json.loads(json.dumps(raw))
+    edit, error, message = DEFECTS[defect]
+    edit(raw, f, g)
+    with pytest.raises(error, match=f"^{re.escape(message(f, g))}$"):
+        check_laws(_built(raw))
+    with pytest.raises(error, match=f"^{re.escape(message(f, g))}$"):
+        validate_category(raw)
+
+
+@st.composite
+def total_tables(draw):
+    """The table of a corpus category, every composable pair listed, with up
+    to two edits that keep it so: a compose entry or an identity set to any
+    morphism or to an unknown one, an identity dropped, or one declared for
+    an object "9" that is not there."""
+    raw = CATS[draw(st.sampled_from(sorted(CATS)))].to_dict()
+    ids = [m["id"] for m in raw["morphisms"]] + ["nope"]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["entry", "identity", "drop identity", "stray identity"]))
+        if edit == "entry" and raw["compose"]:
+            draw(st.sampled_from(raw["compose"]))[2] = draw(st.sampled_from(ids))
+        elif edit == "identity" and raw["identities"]:
+            raw["identities"][draw(st.sampled_from(sorted(raw["identities"])))] = draw(st.sampled_from(ids))
+        elif edit == "drop identity" and raw["identities"]:
+            raw["identities"].pop(draw(st.sampled_from(sorted(raw["identities"]))))
+        elif edit == "stray identity":
+            raw["identities"]["9"] = draw(st.sampled_from(ids))
+    return raw
+
+
+def _verdict(make):
+    try:
+        return json.dumps(make().to_dict())
+    except CategoryError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(total_tables())
+def test_validating_a_total_table_is_check_laws(raw):
+    def checked():
+        C = _built(raw)
+        check_laws(C)
+        return C
+
+    assert _verdict(lambda: validate_category(raw)) == _verdict(checked)
 
 
 def test_opposite_is_built_once_per_value():
