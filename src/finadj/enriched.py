@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 from . import limits
-from .adjoint import GaftResult, comma_under, gaft_decide
+from .adjoint import GaftResult, _pair_name, comma_under, gaft_decide
 from .fincat import (
     CategoryError,
     FinCategory,
@@ -252,6 +253,10 @@ def gcat_to_dict(G: GpdCategory) -> dict:
     }
 
 
+def _id2(m: str) -> str:
+    return f"id2_{m}"
+
+
 def embed(C: FinCategory) -> GpdCategory:
     """A finite category as an enriched one with discrete hom groupoids.
 
@@ -259,15 +264,14 @@ def embed(C: FinCategory) -> GpdCategory:
     are declared contiguously (true of every fixture in this project), the
     homotopy category of the result reproduces C on the nose.
     """
-    id2 = lambda m: f"id2_{m}"
     parts: dict[tuple[str, str], list[str]] = {}
     for m in C.morphisms:
         parts.setdefault((m.src, m.dst), []).append(m.id)
     homs = {
         loc: _build_gpd(
             cells,
-            [(id2(m), m, m) for m in cells],
-            {(id2(m), id2(m)): id2(m) for m in cells},
+            [(_id2(m), m, m) for m in cells],
+            {(_id2(m), _id2(m)): _id2(m) for m in cells},
         )
         for loc, cells in parts.items()
     }
@@ -276,7 +280,7 @@ def embed(C: FinCategory) -> GpdCategory:
         homs=homs,
         identities=dict(C.identity),
         hcompose_cells=dict(C.compose_table),
-        hcompose_arrows={(id2(g), id2(f)): id2(gf) for (g, f), gf in C.compose_table.items()},
+        hcompose_arrows={(_id2(g), _id2(f)): _id2(gf) for (g, f), gf in C.compose_table.items()},
     )
     check_gcat(G)
     return G
@@ -320,13 +324,12 @@ def validate_gfunctor(raw: dict) -> GpdFunctor:
 
 
 def embed_functor(F: FinFunctor) -> GpdFunctor:
-    id2 = lambda m: f"id2_{m}"
     G = GpdFunctor(
         embed(F.source),
         embed(F.target),
         dict(F.obj_map),
         dict(F.mor_map),
-        {id2(m): id2(fm) for m, fm in F.mor_map.items()},
+        {_id2(m): _id2(fm) for m, fm in F.mor_map.items()},
     )
     check_gfunctor(G)
     return G
@@ -385,6 +388,7 @@ def _components(g: FinCategory) -> list[list[str]]:
 
 
 def mapping_invariants(G: GpdCategory, x: str, y: str) -> MappingInvariants:
+    """Components and automorphism orders of hom(x, y); reads only `G.objects` and `G.hom`."""
     if x not in G.objects or y not in G.objects:
         raise UnknownObject(f"({x!r}, {y!r}) are not objects")
     g = G.hom(x, y)
@@ -397,7 +401,8 @@ def classify_object(G: GpdCategory, x: str) -> ObjectClassification:
     """Initial, h-initial, and weakly-initial-singleton flags for x.
 
     The implications initial => h_initial => weakly_initial_singleton hold
-    by construction of the three quantifiers.
+    by construction of the three quantifiers.  Reads only `G.objects` and
+    `G.hom`, as `mapping_invariants` does: `gaft_fin_decide` passes a view.
     """
     invs = [mapping_invariants(G, x, y) for y in G.objects]
     return ObjectClassification(
@@ -467,6 +472,59 @@ class EnrichedComma:
     cell_info: dict[str, tuple[str, str]]  # comma 1-cell -> (phi, alpha)
 
 
+def _cell_name(phi: str, alpha: str, o: str) -> str:
+    return f"({escape(phi, ',')},{escape(alpha, '@')})@{o}"
+
+
+def _arrow_name(m: str, cell: str) -> str:
+    return f"({escape(m, '@')})@{cell}"
+
+
+def _comma_map(G: GpdFunctor, c: str, o: str, du: tuple[str, str], du2: tuple[str, str]):
+    """Map((d, u), (d2, u2)) in the enriched comma under c, o naming (d, u):
+    the hom groupoid, each 1-cell's (phi, alpha) and each 2-cell's m, named
+    as `enriched_comma_under` says.  The one builder of a comma hom."""
+    D, Ccal = G.source, G.target
+    (d, u), (d2, u2) = du, du2
+    hom_d, target_hom = D.hom(d, d2), Ccal.hom(c, G.obj_map[d2]).morphisms
+    cells: dict[str, tuple[str, str]] = {}
+    for phi in hom_d.objects:
+        comp = Ccal.hcomp(G.cell_map[phi], u)
+        for alpha in target_hom:
+            if alpha.src == comp and alpha.dst == u2:
+                cells[_cell_name(phi, alpha.id, o)] = (phi, alpha.id)
+    arrows, ms, vcomp = [], {}, {}
+    for cid, (phi, alpha) in cells.items():
+        for m in hom_d.morphisms:
+            if m.src != phi:
+                continue
+            # the target is forced: alpha == alpha' . (G(m) * 1_u), so
+            # alpha' = alpha . (G(m) * 1_u)^{-1}, using invertibility
+            w = Ccal.hcomp2(G.arrow_map[m.id], Ccal.id2(u))
+            winv = Ccal.homs[Ccal._arrow_loc[w]].inverse(w)
+            tgt = _cell_name(m.dst, Ccal.vcomp(alpha, winv), o)
+            if tgt not in cells:
+                raise InvariantViolation("comma 2-cell target is not a comma 1-cell")
+            aid = _arrow_name(m.id, cid)
+            ms[aid] = m.id
+            arrows.append((aid, cid, tgt))
+            # each 2-cell out of tgt is (m2)@tgt for an m2 out of m.dst
+            for m2 in hom_d.morphisms:
+                if m2.src == m.dst:
+                    vcomp[(_arrow_name(m2.id, tgt), aid)] = _arrow_name(D.vcomp(m2.id, m.id), cid)
+    return _build_gpd(cells, arrows, vcomp), cells, ms
+
+
+def _comma_view(G: GpdFunctor, c: str) -> SimpleNamespace:
+    """The enriched comma under c as a value with `objects`, mapping each
+    object's `_pair_name` to its (d, u: c -> G d) by d, then u, in declared
+    order; and `hom(o, o2)`, `_comma_map`'s groupoid, built when asked."""
+    if c not in G.target.objects:
+        raise UnknownObject(f"{c!r} is not an object of the target")
+    pairs = {_pair_name(d, u): (d, u) for d in G.source.objects for u in G.target.hom(c, G.obj_map[d]).objects}
+    return SimpleNamespace(objects=pairs, hom=lambda o, o2: _comma_map(G, c, o, pairs[o], pairs[o2])[0])
+
+
 def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     """The enriched comma under an anchor object.
 
@@ -475,109 +533,38 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     2-cell between such pairs is a 2-cell m: phi => phi' whose whiskering
     pastes the two alphas together on the nose (strict enrichment).
 
-    The object (d, u) is named "(d,u)" with \\ and , escaped in d, the
-    1-cell (phi, alpha) out of o "(phi,alpha)@o" with \\ and , escaped in
-    phi and \\ and @ in alpha, and the 2-cell m out of the 1-cell named cid
-    "(m)@cid" with \\ and @ escaped in m, so no two share a name.
+    The object (d, u) is named by `_pair_name`, the 1-cell (phi, alpha) out
+    of o "(phi,alpha)@o" with \\ and , escaped in phi and \\ and @ in alpha,
+    and the 2-cell m out of the 1-cell named cid "(m)@cid" with \\ and @
+    escaped in m, so no two share a name.
     """
     D, Ccal = G.source, G.target
-    if c not in Ccal.objects:
-        raise UnknownObject(f"{c!r} is not an object of the target")
-    first = {d: escape(d, ",") for d in D.objects}
-    objects, pairs = [], {}
-    for d in D.objects:
-        for u in Ccal.hom(c, G.obj_map[d]).objects:
-            o = f"({first[d]},{u})"
-            objects.append(o)
-            pairs[o] = (d, u)
+    pairs = _comma_view(G, c).objects
+    homs, cell_info, arrow_info = {}, {}, {}
+    for o, du in pairs.items():
+        for o2, du2 in pairs.items():
+            g, cells, ms = _comma_map(G, c, o, du, du2)
+            if cells:
+                homs[(o, o2)] = g
+            cell_info.update(cells)
+            arrow_info.update(ms)
+    identities = {o: _cell_name(D.identities[d], Ccal.id2(u), o) for o, (d, u) in pairs.items()}
 
-    cell_id = lambda phi, alpha, o: f"({escape(phi, ',')},{escape(alpha, '@')})@{o}"
-    cell_info: dict[str, tuple[str, str]] = {}
-    cell_endpoints: dict[str, tuple[str, str]] = {}
-    hom_cells: dict[tuple[str, str], list[str]] = {}
-    for o in objects:
-        d, u = pairs[o]
-        for o2 in objects:
-            d2, u2 = pairs[o2]
-            target_hom = Ccal.hom(c, G.obj_map[d2])
-            for phi in D.hom(d, d2).objects:
-                comp = Ccal.hcomp(G.cell_map[phi], u)
-                for alpha in target_hom.morphisms:
-                    if alpha.src != comp or alpha.dst != u2:
-                        continue
-                    cid = cell_id(phi, alpha.id, o)
-                    cell_info[cid] = (phi, alpha.id)
-                    cell_endpoints[cid] = (o, o2)
-                    hom_cells.setdefault((o, o2), []).append(cid)
-
-    arrow_id = lambda m, cid: f"({escape(m, '@')})@{cid}"
-    arrow_info: dict[str, str] = {}
-    hom_arrows: dict[tuple[str, str], list[tuple[str, str, str]]] = {}
-    for cid, (phi, alpha) in cell_info.items():
-        o, o2 = cell_endpoints[cid]
-        d, u = pairs[o]
-        d2, _ = pairs[o2]
-        hom_d = D.hom(d, d2)
-        for m in hom_d.morphisms:
-            if m.src != phi:
-                continue
-            # the target is forced: alpha == alpha' . (G(m) * 1_u), so
-            # alpha' = alpha . (G(m) * 1_u)^{-1}, using invertibility
-            w = Ccal.hcomp2(G.arrow_map[m.id], Ccal.id2(u))
-            winv = Ccal.homs[Ccal._arrow_loc[w]].inverse(w)
-            alpha2 = Ccal.vcomp(alpha, winv)
-            tgt = cell_id(m.dst, alpha2, o)
-            if tgt not in cell_info:
-                raise InvariantViolation("comma 2-cell target is not a comma 1-cell")
-            aid = arrow_id(m.id, cid)
-            arrow_info[aid] = m.id
-            hom_arrows.setdefault((o, o2), []).append((aid, cid, tgt))
-
-    homs = {}
-    for loc, cs in hom_cells.items():
-        arrows = hom_arrows.get(loc, [])
-        vcomp = {}
-        by_src: dict[str, list[tuple[str, str, str]]] = {}
-        for aid, s, t in arrows:
-            by_src.setdefault(s, []).append((aid, s, t))
-        for aid, s, t in arrows:
-            for bid, s2, t2 in by_src.get(t, ()):
-                comp_m = D.vcomp(arrow_info[bid], arrow_info[aid])
-                vcomp[(bid, aid)] = arrow_id(comp_m, s)
-        homs[loc] = _build_gpd(cs, arrows, vcomp)
-
-    identities = {}
-    for o in objects:
-        d, u = pairs[o]
-        identities[o] = cell_id(D.identities[d], Ccal.id2(u), o)
-
-    hcomp_cells = {}
-    for (o, o2), cs in hom_cells.items():
-        for (o2b, o3), cs2 in hom_cells.items():
-            if o2b != o2:
-                continue
-            for f in cs:
+    hcomp_cells, hcomp_arrows = {}, {}
+    for (o, o2), g in homs.items():
+        for g2 in [homs[(o2, o3)] for o3 in pairs if (o2, o3) in homs]:
+            for f in g.objects:
                 phi, alpha = cell_info[f]
-                for g in cs2:
-                    psi, beta = cell_info[g]
-                    comp_phi = D.hcomp(psi, phi)
-                    d, u = pairs[o]
+                for h in g2.objects:
+                    psi, beta = cell_info[h]
                     w = Ccal.hcomp2(Ccal.id2(G.cell_map[psi]), alpha)
-                    comp_alpha = Ccal.vcomp(beta, w)
-                    hcomp_cells[(g, f)] = cell_id(comp_phi, comp_alpha, o)
+                    hcomp_cells[(h, f)] = _cell_name(D.hcomp(psi, phi), Ccal.vcomp(beta, w), o)
+            for a in g.morphisms:
+                for b in g2.morphisms:
+                    comp_m = D.hcomp2(arrow_info[b.id], arrow_info[a.id])
+                    hcomp_arrows[(b.id, a.id)] = _arrow_name(comp_m, hcomp_cells[(b.src, a.src)])
 
-    hcomp_arrows = {}
-    for (o, o2), arrows in hom_arrows.items():
-        for (o2b, o3), arrows2 in hom_arrows.items():
-            if o2b != o2:
-                continue
-            for aid, s, t in arrows:
-                for bid, s2, t2 in arrows2:
-                    comp_m = D.hcomp2(arrow_info[bid], arrow_info[aid])
-                    src_cell = hcomp_cells[(s2, s)]
-                    hcomp_arrows[(bid, aid)] = arrow_id(comp_m, src_cell)
-
-    base = GpdCategory(tuple(objects), homs, identities, hcomp_cells, hcomp_arrows)
+    base = GpdCategory(tuple(pairs), homs, identities, hcomp_cells, hcomp_arrows)
     check_gcat(base)
     return EnrichedComma(base, pairs, cell_info)
 
@@ -623,25 +610,32 @@ def gaft_fin_decide(G: GpdFunctor) -> GaftFinResult:
     and flags anchors where the two disagree; on such anchors the comma
     necessarily lacks finite limits, since with them h-initial objects
     would already be initial.
+
+    Each comma is read through `_comma_view`, whose groupoids are the full
+    comma's: `enriched_comma_under` takes its objects from the view and its
+    homs from `_comma_map`, as the view does.  `classify_object` reads only
+    `objects` and `hom`, so never the identities, horizontal composition
+    or `check_gcat` that the view skips.  Per anchor the search stops at
+    the first initial object: it is h-initial, so the first h-initial
+    object is recorded by then.
     """
     table: dict[str, dict] = {}
-    witness = None
     for c in G.target.objects:
-        comma = enriched_comma_under(G, c)
+        view = _comma_view(G, c)
         initial = h_init = None
-        for o in comma.base.objects:
-            cls = classify_object(comma.base, o)
-            if cls.initial and initial is None:
-                initial = o
+        for o in view.objects:
+            cls = classify_object(view, o)
             if cls.h_initial and h_init is None:
                 h_init = o
+            if cls.initial:
+                initial = o
+                break
         table[c] = {
             "initial": initial,
             "h_initial": h_init,
             "diverges": (initial is None) != (h_init is None),
         }
-        if initial is None and witness is None:
-            witness = c
+    witness = next((c for c, row in table.items() if row["initial"] is None), None)
     return GaftFinResult(witness is None, table, witness)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CLOSURE_BOUND = 10_000
@@ -252,18 +252,26 @@ def _check_entries(C: FinCategory) -> None:
             )
 
 
+def _missing_composite(C: FinCategory) -> tuple[str, str] | None:
+    """The first composable pair (g, f), by f then g, with no compose entry, or None."""
+    out: dict[str, list[str]] = {}
+    for m in C.morphisms:
+        out.setdefault(m.src, []).append(m.id)
+    pairs = ((g, f.id) for f in C.morphisms for g in out.get(f.dst, ()))
+    return next((p for p in pairs if p not in C.compose_table), None)
+
+
 def _check_total(C: FinCategory) -> None:
     """The second half of `check_laws`, on a C that passed the first: every
-    composable pair has an entry, then the unit laws and associativity.
-    Only the first of these raises MissingComposite."""
+    composable pair has an entry (`_missing_composite`), then the unit laws
+    and associativity.  Only the first of these raises MissingComposite."""
+    missing = _missing_composite(C)
+    if missing is not None:
+        raise MissingComposite("no compose entry for composable pair (%s, %s)" % missing)
     table, identity = C.compose_table, C.identity
     out: dict[str, list[Morphism]] = {}  # by source: only composable pairs and triples are visited
     for m in C.morphisms:
         out.setdefault(m.src, []).append(m)
-    for f in C.morphisms:
-        for g in out.get(f.dst, ()):
-            if (g.id, f.id) not in table:
-                raise MissingComposite(f"no compose entry for composable pair ({g.id}, {f.id})")
     # every index below is safe once the composable-pair check has passed
     for m in C.morphisms:
         if table[(m.id, identity[m.src])] != m.id:
@@ -414,18 +422,15 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
             raise MissingComposite(f"conflicting compose entries for ({g}, {f})")
     C = build_category(objects, raw_mors, raw["identities"], table)
     _check_entries(C)
-    # identity composites are always forced, so fill them before deciding
-    # whether the declared table is total
-    identity, forced = C.identity, dict(table)
+    # identity composites are always forced: fill them into C's table, which
+    # nothing has read yet, before deciding whether the declared one is total
+    identity, forced = C.identity, C.compose_table
     for m in C.morphisms:
         forced.setdefault((identity[m.dst], m.id), m.id)
         forced.setdefault((m.id, identity[m.src]), m.id)
-    C = replace(C, compose_table=forced)
-    try:
+    if _missing_composite(C) is None:
         _check_total(C)
         return C
-    except MissingComposite:
-        pass  # some composable pair has no entry: close the declared table
 
     from .presentation import close_presentation
 

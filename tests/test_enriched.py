@@ -586,3 +586,54 @@ def test_enriched_commas_are_pinned():
             digest.update(json.dumps([gcat_to_dict(ec.base), ec.pairs, ec.cell_info]).encode() + b"\n")
     assert len(functors) == 37
     assert digest.hexdigest() == ENRICHED_COMMA_DIGEST
+
+
+def _gaft_fin_instances():
+    """The enriched functors, the embedded curated oracle functors and three
+    embedded inflations of the diamond, past the oracle's bounds."""
+    functors = [G for _, G in corpus.enriched_functors()]
+    functors += [embed_functor(G) for _, G in corpus.curated_oracle_functors()]
+    functors += [embed_functor(inflate(corpus.diamond(), c)) for c in ([1, 1, 1, 1], [2, 1, 2, 1], [3, 2, 3, 2])]
+    assert len(functors) == 40
+    return functors
+
+
+# sha256 of [exists, witness, table] of gaft_fin_decide on each of
+# `_gaft_fin_instances()`, one JSON document per instance; taken while the
+# decision still built every enriched comma in full
+GAFT_FIN_DIGEST = "e0bfe62dd7f8c3135d56ea8c1b63891fe989d7aa024ed764229477afdf336181"
+
+
+def test_gaft_fin_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    for G in _gaft_fin_instances():
+        res = gaft_fin_decide(G)
+        digest.update(json.dumps([res.exists, res.witness, res.table]).encode() + b"\n")
+    assert digest.hexdigest() == GAFT_FIN_DIGEST
+
+
+def test_the_comma_view_reads_the_full_commas_groupoids():
+    for G in _gaft_fin_instances():
+        for c in G.target.objects:
+            view, base = enriched._comma_view(G, c), enriched_comma_under(G, c).base
+            assert tuple(view.objects) == base.objects
+            for o in base.objects:
+                for o2 in base.objects:
+                    assert view.hom(o, o2).to_dict() == base.hom(o, o2).to_dict(), (c, o, o2)
+
+
+def test_the_enriched_decision_builds_no_comma(monkeypatch):
+    functors = [G for _, G in corpus.enriched_functors()]  # embedding builds and checks these first
+    assert len(functors) == 11
+    calls = []  # every build or check of an enriched category during the decisions
+    for name in ("enriched_comma_under", "check_gcat", "GpdCategory"):
+        shared = getattr(enriched, name)
+
+        def recording(*args, name=name, shared=shared, **kwargs):
+            calls.append(name)
+            return shared(*args, **kwargs)
+
+        monkeypatch.setattr(enriched, name, recording)
+    for G in functors:
+        gaft_fin_decide(G)
+    assert calls == []
