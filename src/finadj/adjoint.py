@@ -168,14 +168,15 @@ def comma_under(G: FinFunctor, c: str) -> Comma:
     (d, u) -> (d', u') is a morphism phi: d -> d' of the source of G with
     G(phi) o u == u'.
     """
-    D, C = G.source, G.target
+    D, table, Gmor = G.source, G.target.compose_table, G.mor_map
     pairs = {_pair_name(d, u): (d, u) for d, u in _comma_objects(G, c)}
     name = {pair: o for o, pair in pairs.items()}
     out: dict[str, list] = {}  # the morphisms of D by source, in declared order
     for phi in D.morphisms:
         out.setdefault(phi.src, []).append(phi)
+    # u: c -> G d and G(phi): G d -> G d', so each composite is defined
     arrows = [
-        (phi.id, o, name[(phi.dst, C.compose(G.mor_map[phi.id], u))])
+        (phi.id, o, name[(phi.dst, table[Gmor[phi.id], u])])
         for o, (d, u) in pairs.items()
         for phi in out.get(d, ())
     ]
@@ -195,12 +196,14 @@ def comma_over(F: FinFunctor, d: str) -> Comma:
     if not D.has_object(d):
         raise UnknownObject(f"{d!r} is not an object of the target")
     pairs = {_pair_name(c, v): (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
+    # F(phi): F c -> F c2 and v2: F c2 -> d, so each composite is defined
+    hom, table, Fmor = C._hom, D.compose_table, F.mor_map
     arrows = [
         (phi, o, o2)
         for o, (c, v) in pairs.items()
         for o2, (c2, v2) in pairs.items()
-        for phi in C.hom(c, c2)
-        if D.compose(v2, F.mor_map[phi]) == v
+        for phi in hom.get((c, c2), ())
+        if table[v2, Fmor[phi]] == v
     ]
     P = category_over(C, {o: c for o, (c, _) in pairs.items()}, arrows)
     return Comma(P.source, P, pairs)

@@ -108,9 +108,8 @@ def hom_functor(C: FinCategory, a: str) -> SetFunctor:
     if not C.has_object(a):
         raise UnknownObject(f"{a!r} is not an object")
     on_objects = {x: C.hom(x, a) for x in C.objects}
-    on_morphisms = {
-        m.id: {h: C.compose(h, m.id) for h in C.hom(m.dst, a)} for m in C.morphisms
-    }
+    table = C.compose_table  # h: m.dst -> a, so each h o m is defined
+    on_morphisms = {m.id: {h: table[h, m.id] for h in on_objects[m.dst]} for m in C.morphisms}
     return SetFunctor(C, on_objects, on_morphisms)
 
 
@@ -136,10 +135,10 @@ def check_B1(C: FinCategory, F: SetFunctor) -> ConditionReport:
         if not cocones:
             raise CoproductAbsent(f"no coproduct of ({x!r}, {y!r})")
         for apex, legs in cocones:
-            i1, i2 = legs["j0"], legs["j1"]
+            r1, r2 = F.on_morphisms[legs["j0"]], F.on_morphisms[legs["j1"]]
             seen = {}
             for a in F.at(apex):
-                pair = (F.restrict(i1, a), F.restrict(i2, a))
+                pair = (r1[a], r2[a])
                 if pair in seen:
                     return ConditionReport(
                         False,
@@ -161,12 +160,14 @@ def check_B2(C: FinCategory, F: SetFunctor) -> ConditionReport:
     for _, (f, g), pos in limits.limit_cones(opposite(C), "pullbacks"):
         if not pos:
             raise PushoutAbsent(f"no pushout of the span ({f!r}, {g!r})")
+        rf, rg = F.on_morphisms[f], F.on_morphisms[g]
         for apex, legs in pos:
             p, q = legs["j0"], legs["j1"]
-            hit = {(F.restrict(p, a), F.restrict(q, a)) for a in F.at(apex)}
+            rp, rq = F.on_morphisms[p], F.on_morphisms[q]
+            hit = {(rp[a], rq[a]) for a in F.at(apex)}
             for b in F.at(C.dst(f)):
                 for c2 in F.at(C.dst(g)):
-                    if F.restrict(f, b) != F.restrict(g, c2):
+                    if rf[b] != rg[c2]:
                         continue
                     if (b, c2) not in hit:
                         return ConditionReport(

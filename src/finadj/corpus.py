@@ -165,7 +165,8 @@ def posets_up_to(n: int = 4) -> list[FinCategory]:
     so the search only chooses the relations i < j: antisymmetry holds by
     construction and transitivity is only checked on i < j < l.  A class is
     kept by its canonical form, the least sorted relation over all k!
-    relabellings.
+    relabellings; those relabellings are its whole class, so a relation
+    among them is not relabelled again.
     """
     out = []
     for k in range(n + 1):
@@ -175,10 +176,13 @@ def posets_up_to(n: int = 4) -> list[FinCategory]:
             (((i, j), (j, l), (i, l)), lambda p, q, r: r or not (p and q))
             for i, j, l in itertools.combinations(range(k), 3)
         ]
-        forms = set()
+        forms, seen = set(), set()
         for chosen in search({p: (False, True) for p in pairs}, constraints):
-            rel = [p for p, b in chosen.items() if b]
-            forms.add(min(tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms))
+            rel = tuple(p for p, b in chosen.items() if b)  # sorted, as `pairs` is
+            if rel not in seen:
+                relabelled = {tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms}
+                seen |= relabelled
+                forms.add(min(relabelled))
         for canon in sorted(forms, key=lambda c: (len(c), c)):
             objs = [f"p{i}" for i in range(k)]
             out.append(poset_category(objs, [(f"p{i}", f"p{j}") for i, j in canon]))

@@ -20,7 +20,7 @@ from functools import cached_property
 from types import SimpleNamespace
 
 from . import limits
-from .adjoint import GaftResult, _pair_name, comma_under, gaft_decide
+from .adjoint import Comma, GaftResult, _pair_name, comma_under, gaft_decide
 from .fincat import (
     CategoryError,
     FinCategory,
@@ -34,6 +34,7 @@ from .fincat import (
     components,
     escape,
     functor_profile,
+    kept,
 )
 
 
@@ -262,8 +263,14 @@ def embed(C: FinCategory) -> GpdCategory:
 
     Identity 2-cells are named id2_<morphism>.  When each hom's morphisms
     are declared contiguously (true of every fixture in this project), the
-    homotopy category of the result reproduces C on the nose.
+    homotopy category of the result reproduces C on the nose.  Built and
+    checked on first use and `kept` by C, as `opposite(C)` is: it names
+    objects and morphisms only, so it holds no reference back to C.
     """
+    return kept(C, "_embed", lambda: _embed(C))
+
+
+def _embed(C: FinCategory) -> GpdCategory:
     parts: dict[tuple[str, str], list[str]] = {}
     for m in C.morphisms:
         parts.setdefault((m.src, m.dst), []).append(m.id)
@@ -300,6 +307,12 @@ class GpdFunctor:
     obj_map: dict[str, str]
     cell_map: dict[str, str]
     arrow_map: dict[str, str]
+
+    @cached_property
+    def homotopy(self) -> FinFunctor:
+        """`homotopy_functor` of this value, computed once: it holds the
+        homotopy categories its ends keep, and nothing of this value."""
+        return homotopy_functor(self)
 
 
 def check_gfunctor(F: GpdFunctor) -> None:
@@ -397,6 +410,27 @@ def mapping_invariants(G: GpdCategory, x: str, y: str) -> MappingInvariants:
     return MappingInvariants(len(comps), orders)
 
 
+# each flag of `ObjectClassification` as a test of one mapping groupoid:
+# x has the flag when hom(x, y) passes it for every y
+_FLAG_TESTS = {
+    "initial": lambda inv: inv.contractible,
+    "h_initial": lambda inv: inv.nonempty_connected,
+    "weakly_initial_singleton": lambda inv: inv.components >= 1,
+}
+
+
+def _flags_held(G: GpdCategory, x: str, flags) -> set[str]:
+    """Those of `flags` that x has.  The groupoids hom(x, y) are read in
+    object order, and only while one of the flags may still hold."""
+    held = set(flags)
+    for y in G.objects:
+        if not held:
+            break
+        inv = mapping_invariants(G, x, y)
+        held = {f for f in held if _FLAG_TESTS[f](inv)}
+    return held
+
+
 def classify_object(G: GpdCategory, x: str) -> ObjectClassification:
     """Initial, h-initial, and weakly-initial-singleton flags for x.
 
@@ -404,12 +438,8 @@ def classify_object(G: GpdCategory, x: str) -> ObjectClassification:
     by construction of the three quantifiers.  Reads only `G.objects` and
     `G.hom`, as `mapping_invariants` does: `gaft_fin_decide` passes a view.
     """
-    invs = [mapping_invariants(G, x, y) for y in G.objects]
-    return ObjectClassification(
-        initial=all(i.contractible for i in invs),
-        h_initial=all(i.nonempty_connected for i in invs),
-        weakly_initial_singleton=all(i.components >= 1 for i in invs),
-    )
+    held = _flags_held(G, x, _FLAG_TESTS)
+    return ObjectClassification(**{f: f in held for f in _FLAG_TESTS})
 
 
 # -- homotopy category -----------------------------------------------------
@@ -569,6 +599,17 @@ def enriched_comma_under(G: GpdFunctor, c: str) -> EnrichedComma:
     return EnrichedComma(base, pairs, cell_info)
 
 
+def commas_under(G: GpdFunctor, c: str) -> tuple[EnrichedComma, Comma]:
+    """The enriched comma under c, then the comma under c of G's homotopy
+    functor, each built on its first use and `kept`, by G and by the
+    homotopy functor: the suites' invariants at one anchor read one pair.
+    Neither comma names anything but objects and cells, so neither holds
+    a reference back to its owner."""
+    ec = kept(G, f"_enriched_comma_under {c}", lambda: enriched_comma_under(G, c))
+    hG = G.homotopy
+    return ec, kept(hG, f"_comma_under {c}", lambda: comma_under(hG, c))
+
+
 # -- decision procedures -----------------------------------------------------
 
 
@@ -613,21 +654,23 @@ def gaft_fin_decide(G: GpdFunctor) -> GaftFinResult:
 
     Each comma is read through `_comma_view`, whose groupoids are the full
     comma's: `enriched_comma_under` takes its objects from the view and its
-    homs from `_comma_map`, as the view does.  `classify_object` reads only
-    `objects` and `hom`, so never the identities, horizontal composition
-    or `check_gcat` that the view skips.  Per anchor the search stops at
-    the first initial object: it is h-initial, so the first h-initial
-    object is recorded by then.
+    homs from `_comma_map`, as the view does.  `_flags_held`, the reader
+    behind `classify_object`, reads only `objects` and `hom`, so never the
+    identities, horizontal composition or `check_gcat` that the view skips.
+    Per anchor the search stops at the first initial object: it is
+    h-initial, so the first h-initial object is recorded by then.  Once one
+    is recorded, only initiality can change the row, so each later object
+    is read only until a hom shows it is not initial.
     """
     table: dict[str, dict] = {}
     for c in G.target.objects:
         view = _comma_view(G, c)
         initial = h_init = None
         for o in view.objects:
-            cls = classify_object(view, o)
-            if cls.h_initial and h_init is None:
+            held = _flags_held(view, o, ("initial", "h_initial") if h_init is None else ("initial",))
+            if "h_initial" in held:
                 h_init = o
-            if cls.initial:
+            if "initial" in held:
                 initial = o
                 break
         table[c] = {
@@ -647,10 +690,8 @@ def comparison_functor(G: GpdFunctor, c: str) -> tuple[FinFunctor, FunctorProfil
     construction and are asserted; whether parallel pairs can be equalized
     is exactly what the profile is for.
     """
-    ec = enriched_comma_under(G, c)
+    ec, oc = commas_under(G, c)
     h_ec = ec.base.homotopy
-    hG = homotopy_functor(G)
-    oc = comma_under(hG, c)
     hs, ht = G.source.homotopy, G.target.homotopy
 
     oc_by_pair = {pair: o for o, pair in oc.pairs.items()}
@@ -707,7 +748,7 @@ def homotopy_adjoint_compare(
     discrete homs are auto-flagged through the limits module.  When the
     flag is absent, consistency is reported as not applicable (None).
     """
-    hG = homotopy_functor(G)
+    hG = G.homotopy
     h_result = gaft_decide(hG)
     full_result = gaft_fin_decide(G)
     flag = preserves_finite_limits
@@ -733,10 +774,8 @@ def solution_set_invariance(G: GpdFunctor, c: str) -> InvarianceReport:
     `weakly_initial_sets` always has a first set to transfer (the empty
     set of an empty comma).
     """
-    ec = enriched_comma_under(G, c)
-    hG = homotopy_functor(G)
+    ec, oc = commas_under(G, c)
     ht = G.target.homotopy
-    oc = comma_under(hG, c)
 
     e_first = limits.weakly_initial_sets(ec.base.cell_layer)[0]
     o_first = limits.weakly_initial_sets(oc.base)[0]

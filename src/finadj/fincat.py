@@ -72,19 +72,30 @@ def check_shape(value, schema, path: str = "$") -> None:
         if isinstance(schema, tuple) and len(value) != len(schema):
             raise ShapeError(f"{path}: expected {len(schema)} entries, got {len(value)}")
         for i, v in enumerate(value):
-            check_shape(v, schema[0] if isinstance(schema, list) else schema[i], f"{path}[{i}]")
+            s = schema[0] if isinstance(schema, list) else schema[i]
+            if not _leaf_holds(v, s):
+                check_shape(v, s, f"{path}[{i}]")
     elif not isinstance(value, dict):
         raise ShapeError(f"{path}: expected an object, got {type(value).__name__}")
     elif str in schema:
+        s = schema[str]
         for k, v in value.items():
-            check_shape(v, schema[str], f"{path}.{k}")
+            if not _leaf_holds(v, s):
+                check_shape(v, s, f"{path}.{k}")
     else:
         for key, s in schema.items():
             name = key.rstrip("?")
             if name in value:
-                check_shape(value[name], s, f"{path}.{name}")
+                if not _leaf_holds(value[name], s):
+                    check_shape(value[name], s, f"{path}.{name}")
             elif not key.endswith("?"):
                 raise ShapeError(f"{path}: missing key {name!r}")
+
+
+def _leaf_holds(value, schema) -> bool:
+    """Whether `schema` is a type and `value` has it: `check_shape` then
+    has nothing to report, so it skips the call and the path it formats."""
+    return isinstance(schema, type) and isinstance(value, schema)
 
 
 _CATEGORY_SHAPE = {
@@ -138,16 +149,13 @@ class FinCategory:
     def _inverse(self) -> dict[str, str]:
         """Each invertible morphism's inverse, found on the first `is_iso` or
         `inverse` call: most categories, commas among them, never ask."""
-        inverse = {}
+        inverse, identity, hom, table = {}, self.identity, self._hom, self.compose_table
         for m in self.morphisms:
-            unit_src, unit_dst = self.identity.get(m.src), self.identity.get(m.dst)
+            unit_src, unit_dst = identity.get(m.src), identity.get(m.dst)
             if unit_src is None or unit_dst is None:
                 continue
-            for n in self._hom.get((m.dst, m.src), ()):
-                if (
-                    self.compose_table.get((n, m.id)) == unit_src
-                    and self.compose_table.get((m.id, n)) == unit_dst
-                ):
+            for n in hom.get((m.dst, m.src), ()):
+                if table.get((n, m.id)) == unit_src and table.get((m.id, n)) == unit_dst:
                     inverse[m.id] = n
                     break
         return inverse
@@ -252,27 +260,39 @@ def _check_entries(C: FinCategory) -> None:
             )
 
 
-def _missing_composite(C: FinCategory) -> tuple[str, str] | None:
-    """The first composable pair (g, f), by f then g, with no compose entry, or None."""
-    out: dict[str, list[str]] = {}
+def _by_source(C: FinCategory) -> dict[str, list[Morphism]]:
+    """The morphisms of C by source, in declared order: only composable
+    pairs and triples are visited through it."""
+    out: dict[str, list[Morphism]] = {}
     for m in C.morphisms:
-        out.setdefault(m.src, []).append(m.id)
-    pairs = ((g, f.id) for f in C.morphisms for g in out.get(f.dst, ()))
-    return next((p for p in pairs if p not in C.compose_table), None)
+        out.setdefault(m.src, []).append(m)
+    return out
+
+
+def _missing_composite(C: FinCategory, out: dict[str, list[Morphism]]) -> tuple[str, str] | None:
+    """The first composable pair (g, f), by f then g, with no compose entry,
+    or None; `out` is `_by_source(C)`."""
+    table = C.compose_table
+    pairs = ((g.id, f.id) for f in C.morphisms for g in out.get(f.dst, ()))
+    return next((p for p in pairs if p not in table), None)
 
 
 def _check_total(C: FinCategory) -> None:
     """The second half of `check_laws`, on a C that passed the first: every
     composable pair has an entry (`_missing_composite`), then the unit laws
-    and associativity.  Only the first of these raises MissingComposite."""
-    missing = _missing_composite(C)
+    and associativity (`_check_units_and_associativity`).  Only the first
+    of these raises MissingComposite."""
+    out = _by_source(C)
+    missing = _missing_composite(C, out)
     if missing is not None:
         raise MissingComposite("no compose entry for composable pair (%s, %s)" % missing)
+    _check_units_and_associativity(C, out)
+
+
+def _check_units_and_associativity(C: FinCategory, out: dict[str, list[Morphism]]) -> None:
+    """The unit laws, then associativity, on a C with an entry for every
+    composable pair, so every index below is safe; `out` is `_by_source(C)`."""
     table, identity = C.compose_table, C.identity
-    out: dict[str, list[Morphism]] = {}  # by source: only composable pairs and triples are visited
-    for m in C.morphisms:
-        out.setdefault(m.src, []).append(m)
-    # every index below is safe once the composable-pair check has passed
     for m in C.morphisms:
         if table[(m.id, identity[m.src])] != m.id:
             raise IdentityViolation(f"{m.id} o id_{m.src} != {m.id}")
@@ -351,24 +371,26 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     P sends no two parallel lifts to one morphism.
     """
     end = {o: escape(o, ">:") for o in over}
-    # an end outside `over` only names a lift that the next loop rejects
-    lifts = [(f"({phi}):{end.get(o, o)}>{end.get(o2, o2)}", phi, o, o2) for phi, o, o2 in arrows]
-    for m, phi, o, o2 in lifts:
-        below = D._mor.get(phi)
-        if below is None or (below.src, below.dst) != (over.get(o), over.get(o2)):
+    Dmor, table = D._mor, D.compose_table
+    lifts, name, out = [], {}, {}  # each name is formatted once and shared
+    for phi, o, o2 in arrows:
+        # an end outside `over` only names a lift that is rejected here
+        m = f"({phi}):{end.get(o, o)}>{end.get(o2, o2)}"
+        below = Dmor.get(phi)
+        if below is None or below.src != over.get(o) or below.dst != over.get(o2):
             raise NotFunctorial(
                 f"lift {m} does not lie over its ends: {phi!r} is not a morphism "
                 f"from {over.get(o)!r} to {over.get(o2)!r}"
             )
-    name = {(phi, o, o2): m for m, phi, o, o2 in lifts}  # each name is formatted once and shared
-    out: dict[str, list] = {}
-    for lift in lifts:
-        out.setdefault(lift[2], []).append(lift)
+        lifts.append((m, phi, o, o2))
+        name[(phi, o, o2)] = m
+        out.setdefault(o, []).append((m, phi, o2))
     compose = {}
     for m, phi, o, o2 in lifts:
-        for n, psi, _, o3 in out.get(o2, ()):
-            gf = name.get((D.compose(psi, phi), o, o3))
+        for n, psi, o3 in out.get(o2, ()):
+            gf = name.get((table.get((psi, phi)), o, o3))
             if gf is None:
+                D.compose(psi, phi)  # D's own MissingComposite, if D has no composite
                 raise MissingComposite(f"no lift of {psi} o {phi} from {o!r} to {o3!r}")
             compose[(n, m)] = gf
     identity = {}
@@ -384,12 +406,13 @@ def category_over(D: FinCategory, over: Mapping[str, str], arrows: Iterable[tupl
     for o, x in over.items():
         if not D.has_object(x):
             raise NotFunctorial(f"object {o!r} has no valid image")
-    seen = set()
-    for m, _, _, _ in lifts:
-        if m in seen:
-            raise NotFunctorial(f"the projection is not faithful: lift {m} occurs twice")
-        seen.add(m)
-    base = build_category(over, [(m, o, o2) for m, _, o, o2 in lifts], identity, compose)
+    if len(name) != len(lifts):
+        seen = set()
+        for m, _, _, _ in lifts:
+            if m in seen:
+                raise NotFunctorial(f"the projection is not faithful: lift {m} occurs twice")
+            seen.add(m)
+    base = FinCategory(tuple(over), tuple([Morphism(m, o, o2) for m, _, o, o2 in lifts]), identity, compose)
     return FinFunctor(base, D, dict(over), {m: phi for m, phi, _, _ in lifts})
 
 
@@ -428,8 +451,9 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
     for m in C.morphisms:
         forced.setdefault((identity[m.dst], m.id), m.id)
         forced.setdefault((m.id, identity[m.src]), m.id)
-    if _missing_composite(C) is None:
-        _check_total(C)
+    out = _by_source(C)
+    if _missing_composite(C, out) is None:  # `_check_total` on C, its one gap scan done here
+        _check_units_and_associativity(C, out)
         return C
 
     from .presentation import close_presentation
@@ -470,18 +494,28 @@ def small_category(objects, arrows, compose) -> FinCategory:
     )
 
 
+def kept(owner, key: str, build):
+    """`build()`, run on the first call for `key` and kept in owner's
+    instance dictionary, as `functools.cached_property` keeps `_inverse`.
+    The value must hold no reference back to owner: then owner and all it
+    keeps are freed by reference counting alone, with no cycle left for the
+    collector.  A value kept this way lives exactly as long as its owner."""
+    values = vars(owner)
+    if key not in values:
+        values[key] = build()
+    return values[key]
+
+
 def opposite(C: FinCategory) -> FinCategory:
     """Reverse every morphism.  An involution: opposite(opposite(C)) == C,
-    though not the same value: the opposite is built on first use and kept
-    in C's instance dictionary, as `_inverse` is kept, with no link back to C."""
-    if "_opposite" not in vars(C):
-        vars(C)["_opposite"] = build_category(
-            C.objects,
-            ((m.id, m.dst, m.src) for m in C.morphisms),
-            C.identity,
-            {(f, g): h for (g, f), h in C.compose_table.items()},
-        )
-    return vars(C)["_opposite"]
+    though not the same value: the opposite is built on first use and
+    `kept` by C."""
+    return kept(C, "_opposite", lambda: build_category(
+        C.objects,
+        ((m.id, m.dst, m.src) for m in C.morphisms),
+        C.identity,
+        {(f, g): h for (g, f), h in C.compose_table.items()},
+    ))
 
 
 # -- functors ------------------------------------------------------------
@@ -615,32 +649,31 @@ def opposite_functor(F: FinFunctor) -> FinFunctor:
 
 
 def functor_profile(F: FinFunctor) -> FunctorProfile:
+    """The five flags of F, each read from the hom index `_hom` and the
+    tables directly.  A pair (x, y) with no morphism has no `_hom` key, and
+    F is full there exactly when D has no key (Fx, Fy) either.  A parallel
+    pair f, g: d -> d2 is equalized by some u into d, among the morphisms
+    of C by target, as both composites f o u and g o u are then defined."""
     C, D = F.source, F.target
-    surjective = all(any(F.obj_map[x] == d for x in C.objects) for d in D.objects)
-    full = True
+    obj_map, mor_map, Chom, Dhom = F.obj_map, F.mor_map, C._hom, D._hom
+    surjective = {obj_map[x] for x in C.objects} >= set(D.objects)
+    full = all((x, y) in Chom for x in C.objects for y in C.objects if (obj_map[x], obj_map[y]) in Dhom)
     faithful = True
-    for x in C.objects:
-        for y in C.objects:
-            fx, fy = F.obj_map[x], F.obj_map[y]
-            images = [F.mor_map[m] for m in C.hom(x, y)]
-            if set(D.hom(fx, fy)) - set(images):
-                full = False
-            if len(set(images)) != len(images):
-                faithful = False
-    conservative = all(
-        C.is_iso(m.id) for m in C.morphisms if D.is_iso(F.mor_map[m.id])
+    for (x, y), ms in Chom.items():
+        images = {mor_map[m] for m in ms}
+        full = full and images.issuperset(Dhom.get((obj_map[x], obj_map[y]), ()))
+        faithful = faithful and len(images) == len(ms)
+    Cinv, Dinv = C._inverse, D._inverse
+    conservative = all(m.id in Cinv for m in C.morphisms if mor_map[m.id] in Dinv)
+    into: dict[str, list[str]] = {}
+    for m in C.morphisms:
+        into.setdefault(m.dst, []).append(m.id)
+    table = C.compose_table
+    equalizing = all(
+        any(table[(f, u)] == table[(g, u)] for u in into.get(d, ()))
+        for (d, _), pairs in Chom.items()
+        for f, g in itertools.combinations(pairs, 2)
     )
-    equalizing = True
-    for d in C.objects:
-        for d2 in C.objects:
-            pairs = C.hom(d, d2)
-            for f, g in itertools.combinations(pairs, 2):
-                if not any(
-                    C.compose(f, u) == C.compose(g, u)
-                    for w in C.objects
-                    for u in C.hom(w, d)
-                ):
-                    equalizing = False
     return FunctorProfile(surjective, full, faithful, conservative, equalizing)
 
 

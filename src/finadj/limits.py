@@ -20,6 +20,7 @@ from .fincat import (
     FinFunctor,
     compose_functors,
     identity_functor,
+    kept,
     minimal_transversals,
     search,
     small_category,
@@ -88,28 +89,28 @@ def cospan_diagram(C: FinCategory, f: str, g: str) -> FinFunctor:
 
 def cones(C: FinCategory, diagram: FinFunctor) -> list[Cone]:
     """All cones, by apex and then by legs in object order.  A leg that an
-    earlier leg reaches by an arrow of J is computed, not enumerated."""
-    J = diagram.source
-    arrows = [m for m in J.morphisms if not J.is_identity(m.id)]
+    earlier leg reaches by an arrow of J is computed, not enumerated.  The
+    diagram is a functor into C, so a leg to its source and the image of an
+    arrow compose: the domains and tests read C's tables directly."""
+    J, hom, table, mor_map = diagram.source, C._hom, C.compose_table, diagram.mor_map
+    arrows = [m for m in J.morphisms if m.id not in J._identity_ids]
     domains: dict = {None: C.objects}  # the apex, then one leg per object of J
     for j in J.objects:
-        into = [m for m in arrows if m.dst == j and m.src in domains]
+        into = next((m for m in arrows if m.dst == j and m.src in domains), None)
         if into:
-            domains[j] = lambda a, m=into[0]: (C.compose(diagram.mor_map[m.id], a[m.src]),)
+            domains[j] = lambda a, s=into.src, f=mor_map[into.id]: (table[f, a[s]],)
         else:
-            domains[j] = lambda a, x=diagram.obj_map[j]: C.hom(a[None], x)
-    constraints = [
-        ((m.src, m.dst), lambda s, t, f=diagram.mor_map[m.id]: C.compose(f, s) == t)
-        for m in arrows
-    ]
+            domains[j] = lambda a, x=diagram.obj_map[j]: hom.get((a[None], x), ())
+    constraints = [((m.src, m.dst), lambda s, t, f=mor_map[m.id]: table[f, s] == t) for m in arrows]
     return [Cone(diagram, a.pop(None), a) for a in search(domains, constraints)]
 
 
 def _mediators(C: FinCategory, frm: Cone, to: Cone) -> list[str]:
+    """The m: frm.apex -> to.apex with leg o m == frm's leg at each j; each
+    leg of `to` starts at to.apex, so its composite with m is defined."""
+    table, legs = C.compose_table, to.legs.items()
     return [
-        m
-        for m in C.hom(frm.apex, to.apex)
-        if all(C.compose(to.legs[j], m) == frm.legs[j] for j in to.legs)
+        m for m in C._hom.get((frm.apex, to.apex), ()) if all(table[leg, m] == frm.legs[j] for j, leg in legs)
     ]
 
 
@@ -146,8 +147,10 @@ def is_initial(C: FinCategory, x: str) -> bool:
 
 
 def initial_objects(C: FinCategory) -> list[str]:
-    """The objects that pass `is_initial`, in object order."""
-    return [x for x in C.objects if is_initial(C, x)]
+    """The objects that pass `is_initial`, in object order, as a new list.
+    They are found on the first call and `kept` by C, as its opposite is:
+    the suites ask each category several times."""
+    return list(kept(C, "_initial_objects", lambda: tuple(x for x in C.objects if is_initial(C, x))))
 
 
 def terminal_objects(C: FinCategory) -> list[str]:
@@ -221,19 +224,16 @@ def image_cones(G: FinFunctor, name: str, data: tuple, ls) -> Iterator[Cone]:
 def limit_cones(C: FinCategory, kind: str) -> Iterator[tuple[str, tuple, tuple[tuple[str, dict], ...]]]:
     """(name, data, limit cones) for each instance of `kind`, in
     `limit_instances` order, each cone as its (apex, legs); C's colimits are
-    the table of `opposite(C)`.  The table is kept in C's instance
-    dictionary, as `_inverse` is kept, so readers of C's limits, interleaved
-    or not, read the cones one computation found.  It is filled one instance
-    at a time, only as far as a reader reads: a reader that stops at an
-    instance without cones computes none past it.  It holds plain data only,
-    the instances' names and data and each cone's apex and legs, and no
-    diagram, cone or paused generator, all of which refer back to C, so a
-    category and its table are freed by reference counting alone.  A reader
-    that needs the diagram, for images under a functor, reads `image_cones`."""
-    key = f"_limit_cones_{kind}"
-    if key not in vars(C):
-        vars(C)[key] = (_instances(C, kind), [])
-    instances, found = vars(C)[key]
+    the table of `opposite(C)`.  The table is `kept` by C, so readers of
+    C's limits, interleaved or not, read the cones one computation found.
+    It is filled one instance at a time, only as far as a reader reads: a
+    reader that stops at an instance without cones computes none past it.
+    It holds plain data only, the instances' names and data and each cone's
+    apex and legs, and no diagram, cone or paused generator, all of which
+    refer back to C, so a category and its table are freed by reference
+    counting alone.  A reader that needs the diagram, for images under a
+    functor, reads `image_cones`."""
+    instances, found = kept(C, f"_limit_cones_{kind}", lambda: (_instances(C, kind), []))
     for i, (name, data) in enumerate(instances):
         if i == len(found):
             found.append(tuple((c.apex, c.legs) for c in limit(C, _DIAGRAMS[name](C, *data))))

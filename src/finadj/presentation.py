@@ -124,7 +124,12 @@ def close_presentation(
     for g, s, _ in gens:
         st.multiply(id_cls[s], g, gen_dst)
 
-    rels = []
+    # generators and relations by source object, in declared order: a
+    # class meets those at its target, which no merge changes
+    gens_from: dict[str, list[str]] = {}
+    for g, s, _ in gens:
+        gens_from.setdefault(s, []).append(g)
+    rels_from: dict[str, list[tuple[Path, Path]]] = {}
     for src, lhs, rhs in relations:
         for path in (lhs, rhs):
             at = src
@@ -132,23 +137,21 @@ def close_presentation(
                 if gen_src.get(g) != at:
                     raise UnknownObject(f"relation path {path} is not composable at {g!r}")
                 at = gen_dst[g]
-        rels.append((src, tuple(lhs), tuple(rhs)))
+        rels_from.setdefault(src, []).append((tuple(lhs), tuple(rhs)))
 
     changed = True
     while changed:
         changed = False
         # complete the multiplication table on the current classes
         for root in st.roots():
-            for g, s, _ in gens:
-                if st.dst[root] == s and g not in st.step[find(st.parent, root)]:
+            for g in gens_from.get(st.dst[root], ()):
+                if g not in st.step[find(st.parent, root)]:
                     st.multiply(root, g, gen_dst)
                     changed = True
         # enforce every relation in every left context
         for root in st.roots():
             root = find(st.parent, root)
-            for src, lhs, rhs in rels:
-                if st.dst[root] != src:
-                    continue
+            for lhs, rhs in rels_from.get(st.dst[root], ()):
                 a = st.fold(root, lhs, gen_dst)
                 b = st.fold(root, rhs, gen_dst)
                 if a != b:
@@ -185,11 +188,11 @@ def close_presentation(
 
     identity = {x: names[find(st.parent, id_cls[x])] for x in objects}
     morphisms = [(names[r], st.src[r], st.dst[r]) for r in ordered]
-    compose = {}
+    compose, ordered_from = {}, {}  # the classes by source: only composable pairs are visited
+    for b in ordered:
+        ordered_from.setdefault(st.src[b], []).append(b)
     for a in ordered:
-        for b in ordered:
-            if st.dst[a] != st.src[b]:
-                continue
+        for b in ordered_from.get(st.dst[a], ()):
             c = st.fold(a, st.witness[b], gen_dst)
             # entry is (g, f) -> g o f with f first in diagrammatic order
             compose[(names[find(st.parent, b)], names[a])] = names[c]

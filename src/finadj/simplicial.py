@@ -19,7 +19,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Union
 
-from .fincat import DEFAULT_CLOSURE_BOUND, CategoryError, FinCategory, check_shape, search
+from .fincat import DEFAULT_CLOSURE_BOUND, CategoryError, FinCategory, check_shape, kept, search
 from .presentation import close_presentation
 
 
@@ -90,31 +90,35 @@ class TruncSSet:
     @cached_property
     def _face_table(self) -> tuple[dict, list[tuple[int, ...]], list[int]]:
         """Every value of dimension 0..3, degenerate ones included, numbered
-        in order of dimension: the number of each value, the face numbers of
-        each number, and where each dimension's numbers start.  A vertex has
-        one face, -1, the empty simplex that all vertices share."""
-        number, value, faces, start, lifts = {}, [], [], [], {}
+        in order of dimension: the number of each value's key (see `_key`),
+        the face numbers of each number, and where each dimension's numbers
+        start.  A vertex has one face, -1, the empty simplex that all
+        vertices share.  Keys are plain tuples, so no `Degenerate` is built
+        or hashed."""
+        number, keys, faces, start, lifts = {}, [], [], [], {}
 
         def s(j, w):  # the number of s_j applied to the value numbered w
             if (j, w) not in lifts:
-                lifts[j, w] = number[_apply_degs((j,), value[w])]
+                of, ops = keys[w]
+                lifts[j, w] = number[of, normalize_ops((j, *ops))]
             return lifts[j, w]
 
         for n in range(4):
             start.append(len(faces))
-            for v in _values(self, n):
-                number[v] = len(faces)
-                value.append(v)
+            for key in _values(self, n):
+                number[key] = len(faces)
+                keys.append(key)
+                of, ops = key
                 if n == 0:
                     faces.append((-1,))
-                elif isinstance(v, str):
-                    faces.append(tuple(number[f] for f in self.faces[v]))
+                elif not ops:
+                    faces.append(tuple([number[_key(f)] for f in self.faces[of]]))
                 else:  # v = s_j u: d_i s_j is s_{j-1} d_i, id or s_j d_{i-1}, as in `face`
-                    j, u = v.ops[0], number[_apply_degs(v.ops[1:], v.of)]
+                    j, u = ops[0], number[of, ops[1:]]
                     fu = faces[u]
-                    faces.append(tuple(
+                    faces.append(tuple([
                         s(j - 1, fu[i]) if i < j else u if i <= j + 1 else s(j, fu[i - 1]) for i in range(n + 1)
-                    ))
+                    ]))
         return number, faces, start + [len(faces)]
 
     @cached_property
@@ -125,10 +129,11 @@ class TruncSSet:
         """The numbers of the n-values grouped by their faces at positions J."""
         if (n, J) not in self._groups:
             _, faces, start = self._face_table
+            rows = faces[start[n]:start[n + 1]]
+            keys = zip(*[[fv[j] for fv in rows] for j in J]) if J else [()] * len(rows)
             groups: dict[tuple[int, ...], list[int]] = {}
-            for v in range(start[n], start[n + 1]):
-                fv = faces[v]
-                groups.setdefault(tuple([fv[j] for j in J]), []).append(v)
+            for v, key in zip(range(start[n], start[n + 1]), keys):
+                groups.setdefault(key, []).append(v)
             self._groups[n, J] = groups
         return self._groups[n, J]
 
@@ -309,7 +314,14 @@ def _chain_value(C: FinCategory, entries: tuple[str, ...], at: str) -> FaceValue
 
 
 def nerve(C: FinCategory) -> TruncSSet:
-    """Composable chains of nonidentity morphisms, truncated at length 3."""
+    """Composable chains of nonidentity morphisms, truncated at length 3.
+    Built on first use and `kept` by C, as `opposite(C)` is: it names
+    morphisms only, so it holds no reference back to C, and the lifting
+    tables it computes on first use live as long as C."""
+    return kept(C, "_nerve", lambda: _nerve(C))
+
+
+def _nerve(C: FinCategory) -> TruncSSet:
     nonid = [m for m in C.morphisms if not C.is_identity(m.id)]
     chains = {1: [(m.id,) for m in nonid]}
     for n in (2, 3):
@@ -484,13 +496,19 @@ def vertex_slice(K: TruncSSet, x: str, under: bool = False) -> TruncSSet:
 # -- boundary lifting ---------------------------------------------------------
 
 
-def _values(K: TruncSSet, n: int) -> list[FaceValue]:
-    """The n-values of K: each k-simplex under each strictly decreasing
-    degeneracy word of length n - k."""
-    vals: list[FaceValue] = list(K.ids(n))
+def _key(v: FaceValue) -> tuple[str, tuple[int, ...]]:
+    """The value v as (t, J): the simplex t under the degeneracy word J,
+    empty when v is the simplex t itself."""
+    return (v, ()) if isinstance(v, str) else (v.of, v.ops)
+
+
+def _values(K: TruncSSet, n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """The n-values of K, each by its `_key`: each k-simplex under each
+    strictly decreasing degeneracy word of length n - k."""
+    vals = [(s, ()) for s in K.ids(n)]
     for k in range(n):
         for ops in combinations(range(n - 1, -1, -1), n - k):
-            vals += [Degenerate(s, ops) for s in K.ids(k)]
+            vals += [(s, ops) for s in K.ids(k)]
     return vals
 
 
@@ -510,7 +528,7 @@ def _filler_counts(K: TruncSSet, n: int, J, x: str | None = None):
     if x is None:
         maps, placed = [()], 0
     else:
-        maps, placed = [(w,) for w in _starting_at(K, n - 1, number[x])], 1
+        maps, placed = [(w,) for w in _starting_at(K, n - 1, number[x, ()])], 1
     for t in range(placed, len(J)):
         table = K._by_faces(n - 1, tuple(j - 1 for j in J[:t]))
         maps = [m + (w,) for m in maps for w in table.get(tuple([faces[f][J[t]] for f in m]), ())]

@@ -6,6 +6,14 @@ invariants in a fixed order and concatenates their tallies into a
 deterministic JSON-ready report: counts, failures, and the first
 counterexample if any.  Nothing time-dependent goes into a report, so
 repeated runs are byte-identical.
+
+A suite builds its corpus once per run and each derived value once: the
+invariants that read a category's nerve, opposite, limit tables, initial
+objects or embedding, or an enriched functor's homotopy functor and its
+commas at an anchor (`enriched.commas_under`), read the one value `kept`
+with it (`fincat.kept`).  A kept value holds no reference back to its
+owner, so it is freed with the corpus by reference counting, and each run
+builds its corpus afresh, so nothing kept in one run serves the next.
 """
 
 from __future__ import annotations
@@ -142,7 +150,9 @@ def check_poset_weak_pushouts(cats) -> Tally:
         ok = True
         for _, _, d in limits.limit_instances(Cop, "pullbacks"):
             cs = limits.cones(Cop, d)
-            if any(limits.is_limit_cone(Cop, c, cs, weak=True) != limits.is_limit_cone(Cop, c, cs) for c in cs):
+            # a limit cone is a weak limit cone, so only a cone that is not
+            # a limit cone can tell the two apart
+            if any(not limits.is_limit_cone(Cop, c, cs) and limits.is_limit_cone(Cop, c, cs, weak=True) for c in cs):
                 ok = False
                 break
         t.check(ok, {"category": name, "invariant": "poset_weak_pushouts_are_pushouts"})
@@ -186,28 +196,34 @@ def inflate(C: FinCategory, copies: list[int]) -> FinFunctor:
     functors meeting the initial-reflection hypotheses.
     """
     over = {f"{x}.{k}": x for x, m in zip(C.objects, copies) for k in range(m)}
-    arrows = [(f, a, b) for a in over for b in over for f in C.hom(over[a], over[b])]
+    hom = C._hom
+    arrows = [(f, a, b) for a in over for b in over for f in hom.get((over[a], over[b]), ())]
     return category_over(C, over, arrows)
 
 
-def reflection_pool() -> list[tuple[str, FinCategory]]:
-    cats = corpus.categories()
-    pool = [(n, cats[n]) for n in ("one", "disc2", "two", "chain3", "diamond", "vee", "wedge", "ppe", "idem", "iso2")]
-    pool += [(f"poset{i}", P) for i, P in enumerate(corpus.posets_up_to(3))]
+def reflection_pool(cats) -> list[tuple[str, FinCategory]]:
+    """Ten named categories, then the posets of at most three elements,
+    taken from `cats`, which `sweep_corpus_categories` lists: its posets
+    come by size, so those of at most three are `posets_up_to(3)`, named as
+    there."""
+    named = dict(cats)
+    pool = [(n, named[n]) for n in ("one", "disc2", "two", "chain3", "diamond", "vee", "wedge", "ppe", "idem", "iso2")]
+    pool += [(n, P) for n, P in cats if n.startswith("poset") and len(P.objects) <= 3]
     return pool
 
 
 REFLECTION_DRAWS = 200  # all must qualify for `check_initial_reflection`
 
 
-def generate_reflection_functors(seed: int):
+def generate_reflection_functors(seed: int, cats):
     """Seeded stream of REFLECTION_DRAWS functors whose profiles meet all
     four hypotheses, as (name, key, build): `build()` inflates the draw, and
     draws with one key build equal functors.  The stream inflates nothing
     and keeps nothing, so a reader that checks each key once inflates each
-    distinct draw once and holds only the functor it is checking."""
+    distinct draw once and holds only the functor it is checking.  The
+    draws inflate categories of `reflection_pool(cats)`."""
     rng = random.Random(seed)
-    pool = reflection_pool()
+    pool = reflection_pool(cats)
     for n in range(REFLECTION_DRAWS):
         i = rng.randrange(len(pool))
         name, C = pool[i]
@@ -239,9 +255,9 @@ def check_pz2_divergence() -> Tally:
         and not profile.equalizing_pairs
     )
     t.check(ok, {"fixture": "pz2", "fact": "comparison_profile"})
-    comma = enriched.enriched_comma_under(G, "x").base
+    comma = enriched.commas_under(G, "x")[0].base
     o = comma.objects[0]
-    comma_h = enriched.homotopy_category(comma).category
+    comma_h = comma.homotopy.category
     flr = limits.has_finite_limits(comma_h)
     pair = [m for m in comma_h.nonidentity()]
     eq_missing = (
@@ -253,14 +269,15 @@ def check_pz2_divergence() -> Tally:
     return t
 
 
-def check_initial_reflection(seed: int) -> Tally:
+def check_initial_reflection(seed: int, cats) -> Tally:
     """Initial objects are reflected by the REFLECTION_DRAWS generated
-    functors meeting the four hypotheses, and no claim is made for the pz2
+    functors meeting the four hypotheses, drawn from `cats` as
+    `generate_reflection_functors` draws, and no claim is made for the pz2
     comparison functor, which misses one of them."""
     t = Tally()
     reports = {}  # by draw key, which repeated draws share
     generated = qualifying = 0
-    for name, key, build in generate_reflection_functors(seed=seed):
+    for name, key, build in generate_reflection_functors(seed, cats):
         generated += 1
         if key not in reports:
             reports[key] = enriched.initial_reflection_check(build())
@@ -324,11 +341,12 @@ def check_brown_necessity(cats) -> Tally:
 
 def fixtures_sweep(seed: int = 0) -> dict:
     """The divergence fixture, the reflection sweep, and the
-    representability necessity checks."""
+    representability necessity checks; the last two read one corpus."""
+    cats = sweep_corpus_categories()
     tallies = [
         check_pz2_divergence(),
-        check_initial_reflection(seed),
-        check_brown_necessity(sweep_corpus_categories()),
+        check_initial_reflection(seed, cats),
+        check_brown_necessity(cats),
     ]
     return _report("fixtures", tallies)
 
@@ -351,7 +369,7 @@ def check_embedding_agreement(efs) -> Tally:
     t = Tally()
     for name, G in efs:
         full = enriched.gaft_fin_decide(G)
-        h = adjoint.gaft_decide(enriched.homotopy_functor(G))
+        h = adjoint.gaft_decide(G.homotopy)
         ok = not name.startswith("embed") or full.exists == h.exists
         t.check(ok, {"functor": name, "invariant": "embedding_agreement"})
     return t
@@ -361,7 +379,7 @@ def check_homotopy_of_embedding(cats) -> Tally:
     t = Tally()
     for name in ("one", "two", "chain3", "diamond", "iso2", "z2", "pp", "free_boundary"):
         C = cats[name]
-        ok = enriched.homotopy_category(enriched.embed(C)).category == C
+        ok = enriched.embed(C).homotopy.category == C
         t.check(ok, {"category": name, "invariant": "homotopy_of_embedding"})
     return t
 

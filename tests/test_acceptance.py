@@ -69,7 +69,7 @@ def test_criterion_5_divergence_fixture():
 
 
 def test_criterion_6_reflection_sweep():
-    tally = _clean(sweeps.check_initial_reflection(seed=0))
+    tally = _clean(sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories()))
     qualifying = tally.details["reflection_qualifying"]
     assert qualifying >= 200
     _ok(6, f"initial reflection holds on {qualifying} generated functors")

@@ -268,7 +268,7 @@ def test_corpus_passes_each_suite_the_options_it_reads(files, monkeypatch):
     assert list(SUITE_READS) == list(sweeps.SUITES)
     tmp_path, _, _ = files
     seeds, draw = [], sweeps.generate_reflection_functors
-    monkeypatch.setattr(sweeps, "generate_reflection_functors", lambda seed: seeds.append(seed) or draw(seed))
+    monkeypatch.setattr(sweeps, "generate_reflection_functors", lambda seed, cats: seeds.append(seed) or draw(seed, cats))
     code, cert = _run_to(tmp_path, ["corpus", "fixtures", "--seed", "7"])
     assert code == 0 and cert["verdict"] == "pass" and seeds == [7]
     # zero bounds refuse the oracle's first instance, so they reached the oracle

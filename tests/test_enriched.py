@@ -13,6 +13,7 @@ from finadj.adjoint import gaft_decide
 from finadj.enriched import (
     GpdFunctor,
     GpdLawViolation,
+    ObjectClassification,
     check_gfunctor,
     classify_object,
     comparison_functor,
@@ -510,7 +511,8 @@ def test_single_entry_mutants_are_rejected_unless_pinned():
 
 
 def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
-    draws = {name.split("#")[0] for name, *_ in sweeps.generate_reflection_functors(seed=0)}
+    cats = sweeps.sweep_corpus_categories()
+    draws = {name.split("#")[0] for name, *_ in sweeps.generate_reflection_functors(0, cats)}
     calls = Counter()
 
     def counted(fn):
@@ -521,7 +523,7 @@ def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
 
     monkeypatch.setattr(sweeps, "inflate", counted(sweeps.inflate))
     monkeypatch.setattr(enriched, "initial_reflection_check", counted(enriched.initial_reflection_check))
-    tally = sweeps.check_initial_reflection(seed=0)
+    tally = sweeps.check_initial_reflection(0, cats)
     assert tally.details == {"reflection_generated": 200, "reflection_qualifying": 200}
     assert tally.checks == 201 and not tally.failures
     # 124 distinct draws of 200; one more check for the pz2 comparison functor
@@ -541,7 +543,7 @@ def test_reflection_sweep_holds_one_functor_at_a_time(monkeypatch):
     monkeypatch.setattr(enriched, "initial_reflection_check", checked_alone)
     gc.disable()
     try:
-        tally = sweeps.check_initial_reflection(seed=0)
+        tally = sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories())
     finally:
         gc.enable()
     assert tally.checks == 201 and not tally.failures and len(refs) == 125
@@ -637,3 +639,62 @@ def test_the_enriched_decision_builds_no_comma(monkeypatch):
     for G in functors:
         gaft_fin_decide(G)
     assert calls == []
+
+
+def test_the_enriched_decision_reads_an_object_only_while_it_can_change_the_table(monkeypatch):
+    functors = _gaft_fin_instances()
+    built, comma_map = [], enriched._comma_map
+    monkeypatch.setattr(enriched, "_comma_map", lambda *args: built.append(args[2:]) or comma_map(*args))
+    for G in functors:
+        gaft_fin_decide(G)
+    # 209 while every object read each hom up to its first initial object's
+    assert len(built) == 170
+
+
+def test_classify_object_is_its_three_quantifiers():
+    for G in _gaft_fin_instances():
+        for c in G.target.objects:
+            view = enriched._comma_view(G, c)
+            for x in view.objects:
+                invs = [mapping_invariants(view, x, y) for y in view.objects]
+                assert classify_object(view, x) == ObjectClassification(
+                    all(i.contractible for i in invs),
+                    all(i.nonempty_connected for i in invs),
+                    all(i.components >= 1 for i in invs),
+                )
+
+
+def test_the_enriched_sweep_builds_and_checks_one_comma_per_anchor(monkeypatch):
+    built, checked = [], []
+    comma_under, check = enriched.enriched_comma_under, enriched.check_gcat
+
+    def recording_comma(G, c):
+        ec = comma_under(G, c)
+        built.append(ec.base)
+        return ec
+
+    monkeypatch.setattr(enriched, "enriched_comma_under", recording_comma)
+    monkeypatch.setattr(enriched, "check_gcat", lambda G: checked.append(G) or check(G))
+    report = sweeps.enriched_sweep()
+    assert report["failures"] == 0 and report["checks"] == 78
+    # solution-set invariance and the comparison functor read one comma each
+    # at the 24 anchors of the 11 enriched functors, not one each
+    assert len(built) == 24
+    assert all(any(base is G for G in checked) for base in built)
+
+
+def test_functors_with_kept_commas_are_freed_by_reference_counting():
+    # the homotopy functor and the commas an anchor's invariants keep name
+    # objects and cells only, so G and all it keeps go with G's last reference
+    gc.disable()
+    try:
+        G = corpus.pz2_pick_y()
+        for c in G.target.objects:
+            solution_set_invariance(G, c)
+            comparison_functor(G, c)
+        kept = [G, G.homotopy, *(x for c in G.target.objects for x in enriched.commas_under(G, c))]
+        refs = [weakref.ref(x) for x in kept]
+        del G, kept
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import re
@@ -857,3 +858,32 @@ def test_category_over_matches_the_full_law_check(problem):
     P = category_over(D, over, arrows)
     assert P == expected
     check_laws(P.source)
+
+
+def _profiled_functors():
+    """(name, functor, whether its to_dict bytes are pinned too): the
+    inflations of the reflection draws of seeds 0 and 7, every monotone map
+    between posets of at most three elements, and the curated functors."""
+    cats = sweeps.sweep_corpus_categories()
+    for seed in (0, 7):
+        for name, _, build in sweeps.generate_reflection_functors(seed, cats):
+            yield f"{seed}:{name}", build(), True
+    for name, F in corpus.poset_maps(3) + corpus.curated_oracle_functors():
+        yield name, F, False
+
+
+# sha256 of [name, profile flags, to_dict or None] per `_profiled_functors()`
+# entry, one JSON document each; taken before `category_over` and
+# `functor_profile` read their tables directly
+PROFILE_DIGEST = "40c908c205fa1015636f83a2b19ef65f1eeb01803394511033a1e3b8231a285b"
+
+
+def test_profiles_and_inflations_are_pinned():
+    digest, count = hashlib.sha256(), 0
+    for name, F, pin_bytes in _profiled_functors():
+        p = functor_profile(F)
+        flags = [p.surjective_on_objects, p.full, p.faithful, p.conservative, p.equalizing_pairs]
+        digest.update(json.dumps([name, flags, F.to_dict() if pin_bytes else None]).encode() + b"\n")
+        count += 1
+    assert count == 400 + 485 + 26
+    assert digest.hexdigest() == PROFILE_DIGEST

@@ -260,8 +260,8 @@ def _cones_reference(C, diagram):
 @pytest.mark.parametrize("name", sorted(CATS))
 def test_cones_match_product_and_filter(name):
     for C in (CATS[name], opposite(CATS[name])):
-        for kind in KINDS:
-            for _, _, diagram in limit_instances(C, kind):
-                found = [(c.apex, c.legs) for c in cones(C, diagram)]
-                assert found == _cones_reference(C, diagram), (name, kind)
-                assert all(list(legs) == list(diagram.source.objects) for _, legs in found)
+        diagrams = [(kind, diagram) for kind in KINDS for _, _, diagram in limit_instances(C, kind)]
+        for kind, diagram in diagrams + [("identity", identity_functor(C))]:
+            found = [(c.apex, c.legs) for c in cones(C, diagram)]
+            assert found == _cones_reference(C, diagram), (name, kind)
+            assert all(list(legs) == list(diagram.source.objects) for _, legs in found)

@@ -1,9 +1,11 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from finadj import corpus, sweeps
-from finadj.fincat import ClosureBoundExceeded, identity_functor, isomorphic as cat_isomorphic
+from finadj.fincat import ClosureBoundExceeded, FinCategory, identity_functor, isomorphic as cat_isomorphic
 from finadj.adjoint import comma_over
 from finadj.simplicial import (
     Degenerate,
@@ -23,6 +25,7 @@ from finadj.simplicial import (
     tau1,
     validate_sset,
     vertex_slice,
+    _key,
     _values,
 )
 
@@ -251,7 +254,9 @@ def test_lifting_tables_shared_across_queries_match_fresh_nerves():
         queries = [(x, n) for x in C.objects for n in (1, 2, 3)]
         rng.shuffle(queries)
         for x, n in queries:
-            assert initial_by_lifting(K, x, n) == initial_by_lifting(nerve(C), x, n), (name, x, n)
+            # an equal category keeps a fresh nerve, with fresh tables
+            fresh = nerve(FinCategory(C.objects, C.morphisms, C.identity, C.compose_table))
+            assert initial_by_lifting(K, x, n) == initial_by_lifting(fresh, x, n), (name, x, n)
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -272,8 +277,9 @@ def test_face_table_agrees_with_face():
         for K in (nerve(C), join_point(nerve(C)).sset):
             number, faces, _ = K._face_table
             for n in (1, 2, 3):
-                for v in _values(K, n):
-                    assert faces[number[v]] == tuple(number[face(K, v, i)] for i in range(n + 1))
+                for t, J in _values(K, n):
+                    v = Degenerate(t, J) if J else t
+                    assert faces[number[t, J]] == tuple(number[_key(face(K, v, i))] for i in range(n + 1))
 
 
 def test_face_pushes_through_degeneracies():
@@ -293,3 +299,18 @@ def test_face_pushes_through_degeneracies():
 def test_sset_dict_roundtrip():
     K = nerve(CATS["free_boundary"])
     assert sset_from_dict(K.to_dict()) == K
+
+
+def test_categories_with_kept_nerves_are_freed_by_reference_counting():
+    # the nerve names objects and morphisms only, so C, its nerve and the
+    # nerve's lifting tables go with C's last reference
+    gc.disable()
+    try:
+        C = corpus.diamond()
+        N = nerve(C)
+        assert nerve(C) is N and [x for x in C.objects if initial_by_lifting(N, x)] == ["bot"]
+        refs = [weakref.ref(x) for x in (C, N)]
+        del C, N
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
