@@ -6,7 +6,7 @@ anchor object has an initial object, and one per anchor is all it needs.
 Initiality in a comma is decided by `limits.is_initial` on the comma's
 objects and hom sets, so there is a single criterion and a single oracle
 for it.  The decision and the solution-set report both read a comma
-through `_hom_view`: its objects, and each hom set computed only when
+through `_hom_views`: its objects, and each hom set computed only when
 asked, so the decision stops at each comma's first initial object without
 listing the comma's other morphisms.  The composition table, which
 neither reads, is built only by `comma_under`.  The adjoint assembled from
@@ -17,14 +17,18 @@ functor laws follow from it, so no `check_functor_laws` runs on F.
 The loops on the decision's path (`_comma_objects`, the view's `hom`,
 `construct_left_adjoint`'s image filter and `verify_adjunction`) look up
 their categories' tables once, before the loop, and read them directly:
-`compose_table`, and the hom index `_hom` that `FinCategory.hom` reads.
-Every composite is read after the ends that make it defined are checked,
-and a `FinCategory` defines `compose_table` on exactly the composable
-pairs, so no read misses.  The hom index is read rather than a bound
-`hom` method because the call, not the lookup, is most of the cost of a
-hom read: against method calls throughout, reading the index measured
-+19.5% instances/s on decide-large (seed 0, 2 vCPUs), and a bound `hom`
-3-11%.  `FinCategory` states the index's contract.
+`compose_table`, and the hom index by rows, `FinCategory.hom_from(x)`,
+which maps each target y to hom(x, y).  Each loop fetches an object's row
+once and then reads one hom set per target from it, so no hom read builds
+or hashes an (x, y) key.  Every composite is read after the ends that
+make it defined are checked, and a `FinCategory` defines `compose_table`
+on exactly the composable pairs, so no read misses.  The rows are read
+rather than a bound `hom` method because the call, not the lookup, is
+most of the cost of a hom read: against method calls throughout, reading
+an index measured +19.5% instances/s on decide-large (seed 0, 2 vCPUs),
+and a bound `hom` 3-11%; reading rows rather than a flat index keyed by
+(x, y) measured a further +26% (median of 10 pairs).  `FinCategory`
+states the index's contract.
 
 `brute_force_left_adjoint` is the independent check: it enumerates every
 candidate functor and unit within configured bounds and verifies the hom
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import Iterator
 
 from . import limits
 from .fincat import (
@@ -132,26 +137,31 @@ def _comma_objects(G: FinFunctor, c: str) -> list[tuple[str, str]]:
     D, C = G.source, G.target
     if not C.has_object(c):
         raise UnknownObject(f"{c!r} is not an object of the target")
-    hom, Gobj = C._hom.get, G.obj_map
-    return [(d, u) for d in D.objects for u in hom((c, Gobj[d]), ())]
+    row, Gobj = C.hom_from(c), G.obj_map
+    return [(d, u) for d in D.objects for u in row.get(Gobj[d], ())]
 
 
-def _hom_view(G: FinFunctor, c: str) -> tuple[list[tuple[str, str]], SimpleNamespace]:
-    """The objects (d, u) of the comma under c, and the comma as a value
-    with `objects` (their indices) and `hom`, all that initiality and weak
-    initiality read.  `hom(i, j)` is computed when asked, each time: the
-    morphisms phi of D.hom(d_i, d_j), in declared order, with
-    G(phi) o u_i == u_j, as `comma_under` lists their lifts.  No comma
-    morphism is listed before a reader asks for its hom set.  Each
-    composite G(phi) o u is defined, as u: c -> G d_i and phi: d_i -> d_j."""
-    objects = _comma_objects(G, c)
-    Dhom, table, Gmor = G.source._hom.get, G.target.compose_table, G.mor_map
+def _hom_views(G: FinFunctor) -> Iterator[tuple[str, list[tuple[str, str]], SimpleNamespace]]:
+    """For each anchor c, in the target's object order: c, the objects
+    (d, u) of the comma under c, and the comma as a value with `objects`
+    (their indices) and `hom`, all that initiality and weak initiality
+    read.  `hom(i, j)` is computed when asked, each time: the morphisms phi
+    of D.hom(d_i, d_j), in declared order, with G(phi) o u_i == u_j, as
+    `comma_under` lists their lifts.  No comma morphism is listed before a
+    reader asks for its hom set, and no comma before the reader asks for
+    the next anchor.  The row of each object of D is fetched once, for all
+    anchors.  Each composite G(phi) o u is defined, as u: c -> G d_i and
+    phi: d_i -> d_j."""
+    D, table, Gmor = G.source, G.target.compose_table, G.mor_map
+    rows = {d: D.hom_from(d) for d in D.objects}
+    for c in G.target.objects:
+        objects = _comma_objects(G, c)
 
-    def hom(i: int, j: int) -> list[str]:
-        (d, u), (d2, u2) = objects[i], objects[j]
-        return [phi for phi in Dhom((d, d2), ()) if table[(Gmor[phi], u)] == u2]
+        def hom(i: int, j: int, objects=objects) -> list[str]:
+            (d, u), (d2, u2) = objects[i], objects[j]
+            return [phi for phi in rows[d].get(d2, ()) if table[(Gmor[phi], u)] == u2]
 
-    return objects, SimpleNamespace(objects=range(len(objects)), hom=hom)
+        yield c, objects, SimpleNamespace(objects=range(len(objects)), hom=hom)
 
 
 def _pair_name(x: str, y: str) -> str:
@@ -197,12 +207,12 @@ def comma_over(F: FinFunctor, d: str) -> Comma:
         raise UnknownObject(f"{d!r} is not an object of the target")
     pairs = {_pair_name(c, v): (c, v) for c in C.objects for v in D.hom(F.obj_map[c], d)}
     # F(phi): F c -> F c2 and v2: F c2 -> d, so each composite is defined
-    hom, table, Fmor = C._hom, D.compose_table, F.mor_map
+    rows, table, Fmor = {c: C.hom_from(c) for c in C.objects}, D.compose_table, F.mor_map
     arrows = [
         (phi, o, o2)
         for o, (c, v) in pairs.items()
         for o2, (c2, v2) in pairs.items()
-        for phi in hom.get((c, c2), ())
+        for phi in rows[c].get(c2, ())
         if table[v2, Fmor[phi]] == v
     ]
     P = category_over(C, {o: c for o, (c, _) in pairs.items()}, arrows)
@@ -218,8 +228,7 @@ def solution_set_condition(G: FinFunctor) -> SolutionSetReport:
     of each comma, named as `comma_under` names its objects.
     """
     sets = {}
-    for c in G.target.objects:
-        objects, view = _hom_view(G, c)
+    for c, objects, view in _hom_views(G):
         first = limits.weakly_initial_sets(view)[0]
         sets[c] = tuple(_pair_name(*objects[i]) for i in first)
     return SolutionSetReport(sets)
@@ -245,12 +254,12 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     obj_map = {c: witnesses[c][0] for c in C.objects}
     unit = {c: witnesses[c][1] for c in C.objects}
     mor_map = {}
-    Dhom, table, Gmor = D._hom.get, C.compose_table, G.mor_map
+    table, Gmor = C.compose_table, G.mor_map
+    rows = {c: D.hom_from(d) for c, d in obj_map.items()}  # the row of d_c in D
     for m in C.morphisms:
-        dc, uc = witnesses[m.src]
-        dc2, uc2 = witnesses[m.dst]
-        target_u = table[(uc2, m.id)]  # object (d_{c'}, u_{c'} o f) of the comma at c
-        arrows = [phi for phi in Dhom((dc, dc2), ()) if table[(Gmor[phi], uc)] == target_u]
+        uc = unit[m.src]
+        target_u = table[(unit[m.dst], m.id)]  # object (d_{c'}, u_{c'} o f) of the comma at c
+        arrows = [phi for phi in rows[m.src].get(obj_map[m.dst], ()) if table[(Gmor[phi], uc)] == target_u]
         if len(arrows) != 1:
             raise WitnessNotInitial(
                 f"initiality failed to give a unique image for {m.id!r} ({len(arrows)} candidates)"
@@ -280,33 +289,43 @@ def verify_adjunction(cert: AdjunctionCertificate) -> VerificationResult:
     So a certificate that passes has a functor for F.
 
     The tables are read directly: each composite is read after the ends
-    that define it are checked.  A pair (c, d) whose two hom sets are both
-    empty is skipped, as its map is trivially a bijection."""
+    that define it are checked.  The row of F c in D (`hom_from`) is
+    fetched once per c and serves both the ends of F and the bijections,
+    which also fetch the row of c in C once per c.  A pair (c, d) whose two
+    hom sets are both empty is skipped, as its map is trivially a
+    bijection; a singleton hom(F c, d) is injective, and its map is
+    surjective exactly when hom(c, G d) is the singleton of its one image."""
     F, G, unit = cert.left, cert.right, cert.unit
     C, D = F.source, F.target
     Fobj, Fmor, Gobj, Gmor = F.obj_map, F.mor_map, G.obj_map, G.mor_map
+    Cmor, Dobjects = C._mor, D._obj_index
     not_functor = "left adjoint is not a functor"
     for c in C.objects:
-        if not D.has_object(Fobj.get(c)):
+        if Fobj.get(c) not in Dobjects:
             return VerificationResult(False, f"{not_functor}: F({c!r}) is not an object of its target")
-        u = unit.get(c)
-        if u is None or not C.has_morphism(u):
+        u = Cmor.get(unit.get(c))
+        if u is None:
             return VerificationResult(False, f"unit component missing at {c!r}")
-        if C.src(u) != c or C.dst(u) != Gobj[Fobj[c]]:
+        if u.src != c or u.dst != Gobj[Fobj[c]]:
             return VerificationResult(False, f"unit component at {c!r} has wrong endpoints")
-    table, Chom, Dhom = C.compose_table, C._hom.get, D._hom.get
+    table, hom_from = C.compose_table, D.hom_from
+    rows = {c: hom_from(Fobj[c]) for c in C.objects}  # the row of F c in D
     for m in C.morphisms:
         fm = Fmor.get(m.id)
-        if fm not in Dhom((Fobj[m.src], Fobj[m.dst]), ()):
+        if fm not in rows[m.src].get(Fobj[m.dst], ()):
             ends = f"from F({m.src!r}) to F({m.dst!r})"
             return VerificationResult(False, f"{not_functor}: F({m.id!r}) is not a morphism {ends}")
         if table[(Gmor[fm], unit[m.src])] != table[(unit[m.dst], m.id)]:
             return VerificationResult(False, f"unit naturality fails at {m.id!r}")
     for c in C.objects:
-        fc, u = Fobj[c], unit[c]
+        u, row, unit_row = unit[c], rows[c], C.hom_from(c)
         for d in D.objects:
-            homs, target = Dhom((fc, d), ()), Chom((c, Gobj[d]), ())
+            homs, target = row.get(d, ()), unit_row.get(Gobj[d], ())
             if not (homs or target):
+                continue
+            if len(homs) == 1:
+                if len(target) != 1 or table[(Gmor[homs[0]], u)] != target[0]:
+                    return VerificationResult(False, f"hom map at ({c!r}, {d!r}) is not surjective")
                 continue
             values = {table[(Gmor[g], u)] for g in homs}
             if len(values) != len(homs):
@@ -329,10 +348,8 @@ def gaft_decide(G: FinFunctor) -> GaftResult:
     and the certificate is verified before being returned.  On failure the
     first anchor whose comma has no initial object is reported.
     """
-    C = G.target
     witnesses = {}
-    for c in C.objects:
-        objects, view = _hom_view(G, c)
+    for c, objects, view in _hom_views(G):
         x = next((x for x in view.objects if limits.is_initial(view, x)), None)
         if x is None:
             return GaftResult(False, None, c)

@@ -21,12 +21,10 @@ import sys
 from . import __version__, adjoint, brown, enriched, limits, simplicial, sweeps
 from .fincat import (
     DEFAULT_CLOSURE_BOUND,
-    FUNCTOR_FILE_SHAPE,
     CategoryError,
     ClosureBoundExceeded,
-    check_shape,
     validate_category,
-    validate_functor,
+    validate_functor_file,
 )
 
 
@@ -78,11 +76,7 @@ def _category_arg(args, inputs: _Inputs):
 
 
 def _functor_arg(args, inputs: _Inputs):
-    raw = inputs.load("functor", args.functor)
-    check_shape(raw, FUNCTOR_FILE_SHAPE)
-    C = validate_category(raw["source"], closure_bound=args.closure_bound)
-    D = validate_category(raw["target"], closure_bound=args.closure_bound)
-    return validate_functor(raw, C, D)
+    return validate_functor_file(inputs.load("functor", args.functor), args.closure_bound)
 
 
 def _gfunctor_arg(args, inputs: _Inputs):

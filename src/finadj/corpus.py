@@ -408,8 +408,9 @@ def pz2_to_point() -> GpdFunctor:
     return F
 
 
-def enriched_functors() -> list[tuple[str, GpdFunctor]]:
-    cats = categories()
+def enriched_functors(cats: dict[str, FinCategory]) -> list[tuple[str, GpdFunctor]]:
+    """The enriched corpus; its embedded functors are built on `cats`, which
+    is `categories()`, so a caller that reads both builds one corpus."""
     return [
         ("embed_id_chain3", embed_functor(functor(cats["chain3"], cats["chain3"], {x: x for x in "012"}, {m: m for m in ("0<1", "0<2", "1<2")}))),
         ("embed_chain3_to_two", embed_functor(monotone_functor(cats["chain3"], cats["two"], {"0": "0", "1": "1", "2": "1"}))),

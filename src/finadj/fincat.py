@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CLOSURE_BOUND = 10_000
@@ -106,7 +107,9 @@ _CATEGORY_SHAPE = {
 }
 _FUNCTOR_SHAPE = {"obj_map": {str: str}, "mor_map?": {str: str}}
 # a functor file carries its categories
-FUNCTOR_FILE_SHAPE = {"source": _CATEGORY_SHAPE, "target": _CATEGORY_SHAPE, **_FUNCTOR_SHAPE}
+_FUNCTOR_FILE_SHAPE = {"source": _CATEGORY_SHAPE, "target": _CATEGORY_SHAPE, **_FUNCTOR_SHAPE}
+# the hom row of an object with no morphism out of it
+_NO_ROW: Mapping[str, tuple[str, ...]] = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -123,11 +126,14 @@ class FinCategory:
     `compose_table[(g, f)]` is g after f, defined exactly when
     dst(f) == src(g): a reader that has checked the ends may index it
     directly.  Instances are treated as immutable after construction.  The
-    hom index `_hom` is built with the value: `_hom[(x, y)]` is hom(x, y),
-    a tuple in declared order, and an empty hom set has no key.  It is
-    what `hom` reads, and the adjoint decision's loops read it directly.
-    The inverse table behind `is_iso` and `inverse` is computed on first
-    use.
+    hom index is built with the value, in one pass over the morphisms, and
+    keyed by source, then by target: `hom_from(x)` is the row of x, a
+    mapping from each y with a morphism x -> y to hom(x, y), a tuple in
+    declared order, so an empty hom set has no entry.  `hom` reads a row,
+    and the loops of the adjoint decision and of its certificate check
+    fetch each object's row once and read hom sets from it, with no (x, y)
+    key built.  The inverse table behind `is_iso` and `inverse` is
+    computed on first use.
     """
 
     objects: tuple[str, ...]
@@ -137,11 +143,27 @@ class FinCategory:
 
     def __post_init__(self):
         mor = {m.id: m for m in self.morphisms}
-        hom: dict[tuple[str, str], list[str]] = {}
+        # a hom set is a 1-tuple until a second morphism joins it, then a
+        # list (noted in `grown`) until every morphism is placed
+        rows: dict[str, dict] = {}
+        grown = []
         for m in self.morphisms:
-            hom.setdefault((m.src, m.dst), []).append(m.id)
+            row = rows.get(m.src)
+            if row is None:
+                rows[m.src] = {m.dst: (m.id,)}
+            elif m.dst not in row:
+                row[m.dst] = (m.id,)
+            else:
+                ms = row[m.dst]
+                if ms.__class__ is list:
+                    ms.append(m.id)
+                else:
+                    row[m.dst] = [*ms, m.id]
+                    grown.append((row, m.dst))
+        for row, y in grown:
+            row[y] = tuple(row[y])
         object.__setattr__(self, "_mor", mor)
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_identity_ids", frozenset(self.identity.values()))
         object.__setattr__(self, "_obj_index", {x: i for i, x in enumerate(self.objects)})
 
@@ -149,12 +171,12 @@ class FinCategory:
     def _inverse(self) -> dict[str, str]:
         """Each invertible morphism's inverse, found on the first `is_iso` or
         `inverse` call: most categories, commas among them, never ask."""
-        inverse, identity, hom, table = {}, self.identity, self._hom, self.compose_table
+        inverse, identity, table = {}, self.identity, self.compose_table
         for m in self.morphisms:
             unit_src, unit_dst = identity.get(m.src), identity.get(m.dst)
             if unit_src is None or unit_dst is None:
                 continue
-            for n in hom.get((m.dst, m.src), ()):
+            for n in self.hom(m.dst, m.src):
                 if table.get((n, m.id)) == unit_src and table.get((m.id, n)) == unit_dst:
                     inverse[m.id] = n
                     break
@@ -169,7 +191,13 @@ class FinCategory:
         return self._mor[m].dst
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self._hom.get((x, y), ())
+        return self._rows.get(x, _NO_ROW).get(y, ())
+
+    def hom_from(self, x: str) -> Mapping[str, tuple[str, ...]]:
+        """The row of x: each y with a morphism x -> y, mapped to hom(x, y)
+        in declared order.  It is the index itself, so it is read, never
+        changed; an object with no morphism out of it has an empty row."""
+        return self._rows.get(x, _NO_ROW)
 
     def compose(self, g: str, f: str) -> str:
         try:
@@ -432,6 +460,12 @@ def validate_category(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) 
     equal are refused, and `check_laws` runs on the closed category.
     """
     check_shape(raw, _CATEGORY_SHAPE)
+    return _category_from(raw, closure_bound)
+
+
+def _category_from(raw: Mapping, closure_bound: int) -> FinCategory:
+    """`validate_category` past its shape check, on data whose shape is
+    checked: alone or as part of a functor file."""
     objects = list(raw["objects"])
     if len(set(objects)) != len(objects):
         raise UnknownObject("duplicate object identifiers")
@@ -592,6 +626,23 @@ def validate_functor(raw: Mapping, C: FinCategory, D: FinCategory) -> FinFunctor
     morphism raises NotFunctorial naming the offender.
     """
     check_shape(raw, _FUNCTOR_SHAPE)
+    return _functor_from(raw, C, D)
+
+
+def validate_functor_file(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOUND) -> FinFunctor:
+    """Validate a functor file: its "source" and "target" categories, then
+    the functor between them.  The whole file's shape is checked once,
+    first, so a shape error names its path in the file, such as
+    `$.source.morphisms[0]`; the rest is `validate_category` on each
+    category and `validate_functor` on the maps."""
+    check_shape(raw, _FUNCTOR_FILE_SHAPE)
+    C = _category_from(raw["source"], closure_bound)
+    D = _category_from(raw["target"], closure_bound)
+    return _functor_from(raw, C, D)
+
+
+def _functor_from(raw: Mapping, C: FinCategory, D: FinCategory) -> FinFunctor:
+    """`validate_functor` past its shape check."""
     obj_map = dict(raw["obj_map"])
     for x in C.objects:
         if x not in obj_map:
@@ -649,20 +700,24 @@ def opposite_functor(F: FinFunctor) -> FinFunctor:
 
 
 def functor_profile(F: FinFunctor) -> FunctorProfile:
-    """The five flags of F, each read from the hom index `_hom` and the
-    tables directly.  A pair (x, y) with no morphism has no `_hom` key, and
-    F is full there exactly when D has no key (Fx, Fy) either.  A parallel
-    pair f, g: d -> d2 is equalized by some u into d, among the morphisms
-    of C by target, as both composites f o u and g o u are then defined."""
+    """The five flags of F, each read from the hom rows (`hom_from`) and
+    the tables directly, with the rows of x and of F x fetched once per x.
+    A pair (x, y) with no morphism has no entry in the row of x, and F is
+    full there exactly when the row of F x has no entry F y either.  A
+    parallel pair f, g: d -> d2 is equalized by some u into d, among the
+    morphisms of C by target, as both composites f o u and g o u are then
+    defined."""
     C, D = F.source, F.target
-    obj_map, mor_map, Chom, Dhom = F.obj_map, F.mor_map, C._hom, D._hom
+    obj_map, mor_map = F.obj_map, F.mor_map
     surjective = {obj_map[x] for x in C.objects} >= set(D.objects)
-    full = all((x, y) in Chom for x in C.objects for y in C.objects if (obj_map[x], obj_map[y]) in Dhom)
-    faithful = True
-    for (x, y), ms in Chom.items():
-        images = {mor_map[m] for m in ms}
-        full = full and images.issuperset(Dhom.get((obj_map[x], obj_map[y]), ()))
-        faithful = faithful and len(images) == len(ms)
+    full = faithful = True
+    for x in C.objects:
+        row, image_row = C.hom_from(x), D.hom_from(obj_map[x])
+        full = full and all(y in row for y in C.objects if obj_map[y] in image_row)
+        for y, ms in row.items():
+            images = {mor_map[m] for m in ms}
+            full = full and images.issuperset(image_row.get(obj_map[y], ()))
+            faithful = faithful and len(images) == len(ms)
     Cinv, Dinv = C._inverse, D._inverse
     conservative = all(m.id in Cinv for m in C.morphisms if mor_map[m.id] in Dinv)
     into: dict[str, list[str]] = {}
@@ -671,7 +726,8 @@ def functor_profile(F: FinFunctor) -> FunctorProfile:
     table = C.compose_table
     equalizing = all(
         any(table[(f, u)] == table[(g, u)] for u in into.get(d, ()))
-        for (d, _), pairs in Chom.items()
+        for d in C.objects
+        for pairs in C.hom_from(d).values()
         for f, g in itertools.combinations(pairs, 2)
     )
     return FunctorProfile(surjective, full, faithful, conservative, equalizing)

@@ -92,7 +92,7 @@ def cones(C: FinCategory, diagram: FinFunctor) -> list[Cone]:
     earlier leg reaches by an arrow of J is computed, not enumerated.  The
     diagram is a functor into C, so a leg to its source and the image of an
     arrow compose: the domains and tests read C's tables directly."""
-    J, hom, table, mor_map = diagram.source, C._hom, C.compose_table, diagram.mor_map
+    J, hom_from, table, mor_map = diagram.source, C.hom_from, C.compose_table, diagram.mor_map
     arrows = [m for m in J.morphisms if m.id not in J._identity_ids]
     domains: dict = {None: C.objects}  # the apex, then one leg per object of J
     for j in J.objects:
@@ -100,7 +100,7 @@ def cones(C: FinCategory, diagram: FinFunctor) -> list[Cone]:
         if into:
             domains[j] = lambda a, s=into.src, f=mor_map[into.id]: (table[f, a[s]],)
         else:
-            domains[j] = lambda a, x=diagram.obj_map[j]: hom.get((a[None], x), ())
+            domains[j] = lambda a, x=diagram.obj_map[j]: hom_from(a[None]).get(x, ())
     constraints = [((m.src, m.dst), lambda s, t, f=mor_map[m.id]: table[f, s] == t) for m in arrows]
     return [Cone(diagram, a.pop(None), a) for a in search(domains, constraints)]
 
@@ -110,7 +110,7 @@ def _mediators(C: FinCategory, frm: Cone, to: Cone) -> list[str]:
     leg of `to` starts at to.apex, so its composite with m is defined."""
     table, legs = C.compose_table, to.legs.items()
     return [
-        m for m in C._hom.get((frm.apex, to.apex), ()) if all(table[leg, m] == frm.legs[j] for j, leg in legs)
+        m for m in C.hom_from(frm.apex).get(to.apex, ()) if all(table[leg, m] == frm.legs[j] for j, leg in legs)
     ]
 
 

@@ -196,8 +196,8 @@ def inflate(C: FinCategory, copies: list[int]) -> FinFunctor:
     functors meeting the initial-reflection hypotheses.
     """
     over = {f"{x}.{k}": x for x, m in zip(C.objects, copies) for k in range(m)}
-    hom = C._hom
-    arrows = [(f, a, b) for a in over for b in over for f in hom.get((over[a], over[b]), ())]
+    rows = {x: C.hom_from(x) for x in C.objects}
+    arrows = [(f, a, b) for a in over for b in over for f in rows[over[a]].get(over[b], ())]
     return category_over(C, over, arrows)
 
 
@@ -234,11 +234,11 @@ def generate_reflection_functors(seed: int, cats):
 # -- fixtures ----------------------------------------------------------------
 
 
-def check_pz2_divergence() -> Tally:
-    """The two-object fixture where homotopy and enriched verdicts diverge."""
+def check_pz2_divergence(G) -> Tally:
+    """The two-object fixture where homotopy and enriched verdicts diverge;
+    G is `corpus.pz2_pick_y()`."""
     t = Tally()
     P = corpus.pz2()
-    G = corpus.pz2_pick_y()
     mi = enriched.mapping_invariants(P, "x", "y")
     ok = mi.components == 1 and mi.automorphism_orders == (2,)
     t.check(ok, {"fixture": "pz2", "fact": "mapping_invariants"})
@@ -269,11 +269,12 @@ def check_pz2_divergence() -> Tally:
     return t
 
 
-def check_initial_reflection(seed: int, cats) -> Tally:
+def check_initial_reflection(seed: int, cats, pz2_pick_y) -> Tally:
     """Initial objects are reflected by the REFLECTION_DRAWS generated
     functors meeting the four hypotheses, drawn from `cats` as
-    `generate_reflection_functors` draws, and no claim is made for the pz2
-    comparison functor, which misses one of them."""
+    `generate_reflection_functors` draws, and no claim is made for the
+    comparison functor of `pz2_pick_y` (`corpus.pz2_pick_y()`) at x, which
+    misses one of them."""
     t = Tally()
     reports = {}  # by draw key, which repeated draws share
     generated = qualifying = 0
@@ -289,7 +290,7 @@ def check_initial_reflection(seed: int, cats) -> Tally:
     t.details = {"reflection_generated": generated, "reflection_qualifying": qualifying}
     if qualifying < REFLECTION_DRAWS:
         t.failures.append({"invariant": "reflection_sample_size", "qualifying": qualifying})
-    cmpF, _ = enriched.comparison_functor(corpus.pz2_pick_y(), "x")
+    cmpF, _ = enriched.comparison_functor(pz2_pick_y, "x")
     rep = enriched.initial_reflection_check(cmpF)
     t.check(not rep.applies and rep.reflects is not False, {"fixture": "pz2", "invariant": "reflection_does_not_apply"})
     return t
@@ -341,11 +342,13 @@ def check_brown_necessity(cats) -> Tally:
 
 def fixtures_sweep(seed: int = 0) -> dict:
     """The divergence fixture, the reflection sweep, and the
-    representability necessity checks; the last two read one corpus."""
+    representability necessity checks; the first two read one pz2 fixture,
+    with the commas kept by it, and the last two one corpus."""
     cats = sweep_corpus_categories()
+    pz2_pick_y = corpus.pz2_pick_y()
     tallies = [
-        check_pz2_divergence(),
-        check_initial_reflection(seed, cats),
+        check_pz2_divergence(pz2_pick_y),
+        check_initial_reflection(seed, cats, pz2_pick_y),
         check_brown_necessity(cats),
     ]
     return _report("fixtures", tallies)
@@ -433,8 +436,8 @@ def check_comparison_construction(efs) -> Tally:
 def enriched_sweep() -> dict:
     """Solution-set invariance, embedding agreement, homotopy functoriality,
     and classification implications over the enriched corpus."""
-    efs = corpus.enriched_functors()
     cats = corpus.categories()
+    efs = corpus.enriched_functors(cats)
     tallies = [
         check_solution_set_invariance(efs),
         check_embedding_agreement(efs),

@@ -59,17 +59,17 @@ def test_criterion_3_roundtrip_and_lifting():
 
 
 def test_criterion_4_solution_set_invariance():
-    tally = _clean(sweeps.check_solution_set_invariance(corpus.enriched_functors()))
+    tally = _clean(sweeps.check_solution_set_invariance(corpus.enriched_functors(corpus.categories())))
     _ok(4, f"solution-set invariance with witness transfer, {tally.checks} anchors")
 
 
 def test_criterion_5_divergence_fixture():
-    _clean(sweeps.check_pz2_divergence())
+    _clean(sweeps.check_pz2_divergence(corpus.pz2_pick_y()))
     _ok(5, "two-object fixture reproduces all five facts")
 
 
 def test_criterion_6_reflection_sweep():
-    tally = _clean(sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories()))
+    tally = _clean(sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories(), corpus.pz2_pick_y()))
     qualifying = tally.details["reflection_qualifying"]
     assert qualifying >= 200
     _ok(6, f"initial reflection holds on {qualifying} generated functors")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 
 import pytest
@@ -129,8 +130,7 @@ def test_hom_view_lists_the_built_comma_hom_sets():
     """The view's hom(i, j), computed on demand, is the built comma's hom
     set between the matching objects, projected, in the same order."""
     for G in _pinned_functors():
-        for c in G.target.objects:
-            objects, view = adjoint._hom_view(G, c)
+        for c, objects, view in adjoint._hom_views(G):
             comma = comma_under(G, c)
             names = list(comma.base.objects)
             assert [comma.pairs[o] for o in names] == objects
@@ -309,13 +309,47 @@ def _violations():
     G = corpus.monotone_functor(vee, two, {"x": "1", "y": "0", "z": "1"})
     F = corpus.monotone_functor(two, vee, {"0": "x", "1": "z"})
     cases.append((AdjunctionCertificate(F, G, {"0": "0<1", "1": "id_1"}), "hom map at ('0', 'y') is not surjective"))
+    # the failing pair's hom sizes (|hom(F c, d)|, |hom(c, G d)|): (1, 2),
+    # where the unit p of idem hits p but not id_*
+    one, idem = CATS["one"], CATS["idem"]
+    F = corpus.functor(idem, one, {"*": "*"}, {"p": "id_*"})
+    cert = AdjunctionCertificate(F, corpus.functor(one, idem, {"*": "*"}), {"*": "p"})
+    cases.append((cert, "hom map at ('*', '*') is not surjective"))
+    # (2, 1): f and g both go to id_*
+    F = corpus.functor(one, pp, {"*": "a"})
+    cert = AdjunctionCertificate(F, corpus.functor(pp, one, {"a": "*", "b": "*"}, {"f": "id_*", "g": "id_*"}), {"*": "id_*"})
+    cases.append((cert, "hom map at ('*', 'b') is not injective"))
+    # (1, 0): no functor G has it, as G(g) o u_c lies in hom(c, G d); so G
+    # sends 0<1 to id_x, from G 0 = x but not to G 1 = y
+    disc2 = CATS["disc2"]
+    G = fincat.FinFunctor(two, disc2, {"0": "x", "1": "y"}, {"id_0": "id_x", "id_1": "id_y", "0<1": "id_x"})
+    F = corpus.functor(disc2, two, {"x": "0", "y": "1"})
+    cases.append((AdjunctionCertificate(F, G, {"x": "id_x", "y": "id_y"}), "hom map at ('x', '1') is not surjective"))
+    # (0, 1): hom(1, 0) is empty, hom(*, *) is not
+    F = corpus.functor(one, two, {"*": "1"})
+    cert = AdjunctionCertificate(F, corpus.functor(two, one, {"0": "*", "1": "*"}, {"0<1": "id_*"}), {"*": "id_*"})
+    cases.append((cert, "hom map at ('*', '0') is not surjective"))
     kinds = ("unit-missing", "not-a-functor", "naturality", "not-injective", "not-surjective")
-    return [pytest.param(cert, violation, id=kind) for kind, (cert, violation) in zip(kinds, cases)]
+    kinds += ("hom-sizes-1-2", "hom-sizes-2-1", "hom-sizes-1-0", "hom-sizes-0-1")
+    return [pytest.param(cert, violation, id=kind) for kind, (cert, violation) in zip(kinds, cases, strict=True)]
 
 
 @pytest.mark.parametrize("cert, violation", _violations())
 def test_verify_adjunction_names_the_first_violation(cert, violation):
     assert verify_adjunction(cert) == VerificationResult(False, violation)
+
+
+def test_violations_cover_the_hom_sizes_of_a_failing_pair():
+    # a singleton hom(F c, d) is compared with hom(c, G d) without a set:
+    # each case's named pair (c, d) has the hom sizes its id states
+    sizes = {}
+    for case in _violations():
+        (cert, violation), kind = case.values, case.id
+        if kind.startswith("hom-sizes-"):
+            c, d = re.fullmatch(r"hom map at \('(.*)', '(.*)'\) is not \w+", violation).groups()
+            F, G = cert.left, cert.right
+            sizes[kind] = (len(F.target.hom(F.obj_map[c], d)), len(F.source.hom(c, G.obj_map[d])))
+    assert sizes == {"hom-sizes-1-2": (1, 2), "hom-sizes-2-1": (2, 1), "hom-sizes-1-0": (1, 0), "hom-sizes-0-1": (0, 1)}
 
 
 def test_verify_adjunction_refuses_a_left_adjoint_that_is_not_a_functor():

@@ -330,7 +330,7 @@ def test_gaft_fin_identity_on_embeddings():
 
 
 def test_gaft_fin_agrees_with_plain_gaft_on_embeddings():
-    for name, G in corpus.enriched_functors():
+    for name, G in corpus.enriched_functors(corpus.categories()):
         if not name.startswith("embed"):
             continue
         assert gaft_fin_decide(G).exists == gaft_decide(homotopy_functor(G)).exists, name
@@ -417,7 +417,7 @@ INVARIANCE_SETS = {
 
 def test_solution_set_invariance_witnesses_are_pinned():
     found = {}
-    for name, G in corpus.enriched_functors():
+    for name, G in corpus.enriched_functors(corpus.categories()):
         reps = {c: solution_set_invariance(G, c) for c in G.target.objects}
         found[name] = {c: (r.enriched_set, r.ordinary_set) for c, r in reps.items()}
     assert found == INVARIANCE_SETS
@@ -495,7 +495,7 @@ def test_single_entry_mutants_are_rejected_unless_pinned():
                 except GpdLawViolation:
                     continue
                 accepted.add(f"{name} {label}")
-    for name, F in corpus.enriched_functors():
+    for name, F in corpus.enriched_functors(corpus.categories()):
         maps = {"obj_map": F.obj_map, "cell_map": F.cell_map, "arrow_map": F.arrow_map}
         ids = dict(zip(maps, (F.target.objects, *_cell_ids(gcat_to_dict(F.target)))))
         for table in maps:
@@ -523,7 +523,7 @@ def test_reflection_sweep_builds_and_checks_each_draw_once(monkeypatch):
 
     monkeypatch.setattr(sweeps, "inflate", counted(sweeps.inflate))
     monkeypatch.setattr(enriched, "initial_reflection_check", counted(enriched.initial_reflection_check))
-    tally = sweeps.check_initial_reflection(0, cats)
+    tally = sweeps.check_initial_reflection(0, cats, corpus.pz2_pick_y())
     assert tally.details == {"reflection_generated": 200, "reflection_qualifying": 200}
     assert tally.checks == 201 and not tally.failures
     # 124 distinct draws of 200; one more check for the pz2 comparison functor
@@ -543,7 +543,7 @@ def test_reflection_sweep_holds_one_functor_at_a_time(monkeypatch):
     monkeypatch.setattr(enriched, "initial_reflection_check", checked_alone)
     gc.disable()
     try:
-        tally = sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories())
+        tally = sweeps.check_initial_reflection(0, sweeps.sweep_corpus_categories(), corpus.pz2_pick_y())
     finally:
         gc.enable()
     assert tally.checks == 201 and not tally.failures and len(refs) == 125
@@ -579,7 +579,7 @@ ENRICHED_COMMA_DIGEST = "07d5284b68b33b2e21cfa382fa253752c11b32271eab8b11ee715d8
 
 
 def test_enriched_commas_are_pinned():
-    functors = [G for _, G in corpus.enriched_functors()]
+    functors = [G for _, G in corpus.enriched_functors(corpus.categories())]
     functors += [embed_functor(G) for _, G in corpus.curated_oracle_functors()]
     digest = hashlib.sha256()
     for G in functors:
@@ -593,7 +593,7 @@ def test_enriched_commas_are_pinned():
 def _gaft_fin_instances():
     """The enriched functors, the embedded curated oracle functors and three
     embedded inflations of the diamond, past the oracle's bounds."""
-    functors = [G for _, G in corpus.enriched_functors()]
+    functors = [G for _, G in corpus.enriched_functors(corpus.categories())]
     functors += [embed_functor(G) for _, G in corpus.curated_oracle_functors()]
     functors += [embed_functor(inflate(corpus.diamond(), c)) for c in ([1, 1, 1, 1], [2, 1, 2, 1], [3, 2, 3, 2])]
     assert len(functors) == 40
@@ -625,7 +625,7 @@ def test_the_comma_view_reads_the_full_commas_groupoids():
 
 
 def test_the_enriched_decision_builds_no_comma(monkeypatch):
-    functors = [G for _, G in corpus.enriched_functors()]  # embedding builds and checks these first
+    functors = [G for _, G in corpus.enriched_functors(corpus.categories())]  # embedding builds and checks these first
     assert len(functors) == 11
     calls = []  # every build or check of an enriched category during the decisions
     for name in ("enriched_comma_under", "check_gcat", "GpdCategory"):

@@ -56,6 +56,21 @@ def test_chain3_has_six_morphisms():
     check_laws(C)
 
 
+def test_hom_rows_list_each_hom_set_in_declared_order():
+    # every corpus category, its opposite, and the inflation of each distinct reflection draw
+    cats = sweeps.sweep_corpus_categories()
+    draws = {key: build for _, key, build in sweeps.generate_reflection_functors(0, cats)}
+    values = [C for _, C in cats] + [opposite(C) for _, C in cats] + [build().source for build in draws.values()]
+    assert len(values) == 2 * len(cats) + 124
+    for C in values:
+        for x in C.objects:
+            row = C.hom_from(x)
+            expected = {y: tuple(m.id for m in C.morphisms if (m.src, m.dst) == (x, y)) for y in C.objects}
+            assert row == {y: ms for y, ms in expected.items() if ms}
+            assert all(C.hom(x, y) == ms for y, ms in expected.items())
+    assert corpus.one().hom_from("nowhere") == {} and corpus.one().hom("nowhere", "*") == ()
+
+
 def test_associativity_violation_is_detected():
     raw = {
         "objects": ["*"],

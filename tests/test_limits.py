@@ -166,7 +166,7 @@ def test_weakly_initial_sets_have_their_closed_form():
     # one object from each minimal class of the preorder "hom(x, y) is nonempty"
     cats = [C for _, C in sweeps.sweep_corpus_categories()]
     cats += [opposite(C) for C in cats]
-    cats += [adjoint._hom_view(G, c)[1] for _, G in corpus.poset_maps(3) for c in G.target.objects]
+    cats += [view for _, G in corpus.poset_maps(3) for _, _, view in adjoint._hom_views(G)]
     for C in cats:
         objs = list(C.objects)
         least = [x for x in objs if all(C.hom(x, y) for y in objs if C.hom(y, x))]
