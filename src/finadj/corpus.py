@@ -17,7 +17,7 @@ from .enriched import (
     embed,
     embed_functor,
     identity_gfunctor,
-    validate_gcat,
+    small_gcat,
 )
 from .fincat import FinCategory, FinFunctor, search, small_category, validate_functor
 
@@ -283,101 +283,12 @@ def pz2() -> GpdCategory:
     """Two objects with a single arrow between them carrying a Z/2 worth of
     automorphisms: the mapping data from x to y is connected but not
     contractible."""
-    return validate_gcat(
-        {
-            "objects": ["x", "y"],
-            "homs": {
-                "x|x": {
-                    "cells": ["id_x"],
-                    "twocells": [{"id": "1id_x", "src": "id_x", "dst": "id_x"}],
-                    "compose2": [["1id_x", "1id_x", "1id_x"]],
-                },
-                "y|y": {
-                    "cells": ["id_y"],
-                    "twocells": [{"id": "1id_y", "src": "id_y", "dst": "id_y"}],
-                    "compose2": [["1id_y", "1id_y", "1id_y"]],
-                },
-                "x|y": {
-                    "cells": ["f"],
-                    "twocells": [
-                        {"id": "1f", "src": "f", "dst": "f"},
-                        {"id": "s", "src": "f", "dst": "f"},
-                    ],
-                    "compose2": [
-                        ["1f", "1f", "1f"],
-                        ["1f", "s", "s"],
-                        ["s", "1f", "s"],
-                        ["s", "s", "1f"],
-                    ],
-                },
-            },
-            "identities": {"x": "id_x", "y": "id_y"},
-            "hcompose": {
-                "cells": [
-                    ["id_x", "id_x", "id_x"],
-                    ["id_y", "id_y", "id_y"],
-                    ["f", "id_x", "f"],
-                    ["id_y", "f", "f"],
-                ],
-                "twocells": [
-                    ["1id_x", "1id_x", "1id_x"],
-                    ["1id_y", "1id_y", "1id_y"],
-                    ["1f", "1id_x", "1f"],
-                    ["s", "1id_x", "s"],
-                    ["1id_y", "1f", "1f"],
-                    ["1id_y", "s", "s"],
-                ],
-            },
-        }
-    )
+    return small_gcat(["x", "y"], [("f", "x", "y")], [("s", "f", "f")], [("s", "s", "1f")])
 
 
 def disc_gpd() -> GpdCategory:
     """Two objects with two fully disconnected parallel 1-cells."""
-    return validate_gcat(
-        {
-            "objects": ["x", "y"],
-            "homs": {
-                "x|x": {
-                    "cells": ["id_x"],
-                    "twocells": [{"id": "1id_x", "src": "id_x", "dst": "id_x"}],
-                    "compose2": [["1id_x", "1id_x", "1id_x"]],
-                },
-                "y|y": {
-                    "cells": ["id_y"],
-                    "twocells": [{"id": "1id_y", "src": "id_y", "dst": "id_y"}],
-                    "compose2": [["1id_y", "1id_y", "1id_y"]],
-                },
-                "x|y": {
-                    "cells": ["f1", "f2"],
-                    "twocells": [
-                        {"id": "1f1", "src": "f1", "dst": "f1"},
-                        {"id": "1f2", "src": "f2", "dst": "f2"},
-                    ],
-                    "compose2": [["1f1", "1f1", "1f1"], ["1f2", "1f2", "1f2"]],
-                },
-            },
-            "identities": {"x": "id_x", "y": "id_y"},
-            "hcompose": {
-                "cells": [
-                    ["id_x", "id_x", "id_x"],
-                    ["id_y", "id_y", "id_y"],
-                    ["f1", "id_x", "f1"],
-                    ["f2", "id_x", "f2"],
-                    ["id_y", "f1", "f1"],
-                    ["id_y", "f2", "f2"],
-                ],
-                "twocells": [
-                    ["1id_x", "1id_x", "1id_x"],
-                    ["1id_y", "1id_y", "1id_y"],
-                    ["1f1", "1id_x", "1f1"],
-                    ["1f2", "1id_x", "1f2"],
-                    ["1id_y", "1f1", "1f1"],
-                    ["1id_y", "1f2", "1f2"],
-                ],
-            },
-        }
-    )
+    return small_gcat(["x", "y"], [("f1", "x", "y"), ("f2", "x", "y")])
 
 
 def point_into(T: GpdCategory, x: str) -> GpdFunctor:
@@ -395,15 +306,10 @@ def pz2_pick_y() -> GpdFunctor:
 
 
 def pz2_to_point() -> GpdFunctor:
-    P = pz2()
-    T = embed(one())
-    F = GpdFunctor(
-        P,
-        T,
-        {"x": "*", "y": "*"},
-        {"id_x": "id_*", "id_y": "id_*", "f": "id_*"},
-        {"1id_x": "id2_id_*", "1id_y": "id2_id_*", "1f": "id2_id_*", "s": "id2_id_*"},
-    )
+    """pz2 onto the point, where every image is forced."""
+    P, T = pz2(), embed(one())
+    cells, arrows = P.cell_layer.morphism_ids(), P.arrow_layer.morphism_ids()
+    F = GpdFunctor(P, T, dict.fromkeys(P.objects, "*"), dict.fromkeys(cells, "id_*"), dict.fromkeys(arrows, "id2_id_*"))
     check_gfunctor(F)
     return F
 

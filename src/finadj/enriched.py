@@ -32,6 +32,7 @@ from .fincat import (
     check_laws,
     check_shape,
     components,
+    compose_entries,
     escape,
     functor_profile,
     kept,
@@ -46,11 +47,11 @@ class InvariantViolation(CategoryError):
     """A construction-level guarantee failed to hold."""
 
 
-def _law(layer: str, check, *args) -> None:
-    """Run a `fincat` check, reporting its failure as a GpdLawViolation
-    whose message names the layer checked."""
+def _law(layer: str, check, *args):
+    """Run a `fincat` check and return its value, reporting its failure as
+    a GpdLawViolation whose message names the layer checked."""
     try:
-        check(*args)
+        return check(*args)
     except CategoryError as exc:
         raise GpdLawViolation(f"{layer}: {exc}") from exc
 
@@ -221,18 +222,51 @@ def validate_gcat(raw: dict) -> GpdCategory:
         homs[(x, y)] = _build_gpd(
             data.get("cells", []),
             [(t["id"], t["src"], t["dst"]) for t in data.get("twocells", [])],
-            {(b, a): c for b, a, c in data.get("compose2", [])},
+            _law(f"hom {key} compose2", compose_entries, data.get("compose2", [])),
         )
     hc = raw.get("hcompose", {})
     G = GpdCategory(
         objects=tuple(objects),
         homs=homs,
         identities=dict(raw.get("identities", {})),
-        hcompose_cells={(g, f): gf for g, f, gf in hc.get("cells", [])},
-        hcompose_arrows={(b, a): c for b, a, c in hc.get("twocells", [])},
+        hcompose_cells=_law("hcompose cells", compose_entries, hc.get("cells", [])),
+        hcompose_arrows=_law("hcompose twocells", compose_entries, hc.get("twocells", [])),
     )
     check_gcat(G)
     return G
+
+
+def small_gcat(objects, cells, twocells=(), compose2=(), hcompose_cells=(), hcompose_twocells=()) -> GpdCategory:
+    """The enriched `fincat.small_category`: a groupoid-enriched category
+    from its non-identity 1-cells (c, x, y) and 2-cells (a, c, c2), and the
+    composites (b, a, b o a) that are not forced.  Written here: the
+    identity 1-cell id_<x> and the identity 2-cell 1<c>, each first in its
+    hom, identity homs first; each composite with an identity factor; and
+    1g * 1f = 1(g o f) for each declared g o f.  `validate_gcat` checks the
+    result, so a declared entry that contradicts a forced one is refused; a
+    2-cell or vertical composite naming an undeclared cell is a KeyError."""
+    units, declared = [f"id_{x}" for x in objects], list(cells)
+    cells = [(e, x, x) for e, x in zip(units, objects)] + declared
+    ends = {c: (x, y) for c, x, y in cells}
+    homs, hom2 = {}, {}  # hom2: the hom of each 2-cell
+    for c, x, y in cells:
+        homs.setdefault(f"{x}|{y}", {"cells": [], "twocells": [], "compose2": []})["cells"].append(c)
+    twocells = [(f"1{c}", c, c) for c, _, _ in cells] + list(twocells)
+    for a, c, c2 in twocells:
+        hom2[a] = homs["|".join(ends[c])]
+        hom2[a]["twocells"].append({"id": a, "src": c, "dst": c2})
+    for b, c, _ in twocells:  # b o a by b, then a, before any declared entry
+        forced = [(a, a) for a, _, dst in twocells if dst == c] if b == f"1{c}" else [(f"1{c}", b)]
+        hom2[b]["compose2"] += [[b, a, ba] for a, ba in forced]
+    for b, a, ba in compose2:
+        hom2[a]["compose2"].append([b, a, ba])
+    arrows = [(a, *ends[c]) for a, c, _ in twocells[len(units) :]]  # all but the 1id_<x>
+    hc = [[e, e, e] for e in units] + [[c, f"id_{x}", c] for c, x, _ in declared]
+    hc += [[f"id_{y}", c, c] for c, _, y in declared] + list(hcompose_cells)
+    ht = [[f"1{e}"] * 3 for e in units] + [[a, f"1id_{x}", a] for a, x, _ in arrows]
+    ht += [[f"1id_{y}", a, a] for a, _, y in arrows] + [[f"1{g}", f"1{f}", f"1{gf}"] for g, f, gf in hcompose_cells]
+    hcompose = {"cells": hc, "twocells": ht + list(hcompose_twocells)}
+    return validate_gcat({"objects": list(objects), "homs": homs, "identities": dict(zip(objects, units)), "hcompose": hcompose})
 
 
 def gcat_to_dict(G: GpdCategory) -> dict:

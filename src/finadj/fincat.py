@@ -473,10 +473,7 @@ def _category_from(raw: Mapping, closure_bound: int) -> FinCategory:
     ids = [m[0] for m in raw_mors]
     if len(set(ids)) != len(ids):
         raise MissingComposite("duplicate morphism identifiers")
-    table: dict[tuple[str, str], str] = {}
-    for g, f, gf in raw.get("compose", []):
-        if table.setdefault((g, f), gf) != gf:
-            raise MissingComposite(f"conflicting compose entries for ({g}, {f})")
+    table = compose_entries(raw.get("compose", []))
     C = build_category(objects, raw_mors, raw["identities"], table)
     _check_entries(C)
     # identity composites are always forced: fill them into C's table, which
@@ -509,6 +506,16 @@ def _category_from(raw: Mapping, closure_bound: int) -> FinCategory:
         raise MissingComposite(f"compose entries make declared morphisms {lost} equal to others")
     check_laws(closed)
     return closed
+
+
+def compose_entries(entries: Iterable[tuple[str, str, str]]) -> dict[tuple[str, str], str]:
+    """The composition table of the entries (g, f, g o f), refusing two
+    entries for one pair that disagree; an identical repeat is one entry."""
+    table: dict[tuple[str, str], str] = {}
+    for g, f, gf in entries:
+        if table.setdefault((g, f), gf) != gf:
+            raise MissingComposite(f"conflicting compose entries for ({g}, {f})")
+    return table
 
 
 def small_category(objects, arrows, compose) -> FinCategory:

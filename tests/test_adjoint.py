@@ -252,6 +252,12 @@ def test_construct_left_adjoint_rejects_non_initial_witness():
             construct_left_adjoint(G, {"0": ("0", "id_0"), "1": at_1})
 
 
+def test_construct_left_adjoint_names_an_anchor_without_a_witness():
+    G = corpus.functor(CATS["two"], CATS["one"], {"0": "*", "1": "*"}, {"0<1": "id_*"})
+    with pytest.raises(WitnessNotInitial, match=r"^no witness at anchor '\*'$"):
+        construct_left_adjoint(G, {})
+
+
 def test_gaft_decide_builds_no_comma(monkeypatch):
     built = []
     shared = fincat.category_over
@@ -329,8 +335,13 @@ def _violations():
     F = corpus.functor(one, two, {"*": "1"})
     cert = AdjunctionCertificate(F, corpus.functor(two, one, {"0": "*", "1": "*"}, {"0<1": "id_*"}), {"*": "id_*"})
     cases.append((cert, "hom map at ('*', '0') is not surjective"))
+    # G sends every morphism to id_y, so G(F id_x) o u_x = id_y o id_x is no composite
+    G = fincat.FinFunctor(two, disc2, {"0": "x", "1": "y"}, dict.fromkeys(two.morphism_ids(), "id_y"))
+    F = corpus.functor(disc2, two, {"x": "0", "y": "1"})
+    cert = AdjunctionCertificate(F, G, {"x": "id_x", "y": "id_y"})
+    cases.append((cert, "right adjoint is not a functor: no entry ('id_y', 'id_x')"))
     kinds = ("unit-missing", "not-a-functor", "naturality", "not-injective", "not-surjective")
-    kinds += ("hom-sizes-1-2", "hom-sizes-2-1", "hom-sizes-1-0", "hom-sizes-0-1")
+    kinds += ("hom-sizes-1-2", "hom-sizes-2-1", "hom-sizes-1-0", "hom-sizes-0-1", "right-not-a-functor")
     return [pytest.param(cert, violation, id=kind) for kind, (cert, violation) in zip(kinds, cases, strict=True)]
 
 

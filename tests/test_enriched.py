@@ -14,6 +14,7 @@ from finadj.enriched import (
     GpdFunctor,
     GpdLawViolation,
     ObjectClassification,
+    check_gcat,
     check_gfunctor,
     classify_object,
     comparison_functor,
@@ -29,6 +30,7 @@ from finadj.enriched import (
     initial_reflection_check,
     is_discrete,
     mapping_invariants,
+    small_gcat,
     solution_set_invariance,
     validate_gcat,
     validate_gfunctor,
@@ -45,6 +47,59 @@ def test_pz2_validates_and_roundtrips_through_json():
     assert validate_gcat(gcat_to_dict(P)) == P
 
 
+# sha256 of json.dumps(gcat_to_dict(...)) of the enriched fixtures, taken
+# while each was written out as a full JSON table
+FIXTURE_DIGESTS = {
+    "pz2": "979d4cb1c8c14b31d7562cd68f1ef67d74de23df4bca766458030b092dedacff",
+    "disc_gpd": "c2d2e62e7930d04e6bef8355f92958141f9d8647373fc7ad94f1f5f7184fcb86",
+}
+
+
+def test_enriched_fixtures_are_pinned():
+    for name, digest in FIXTURE_DIGESTS.items():
+        G = getattr(corpus, name)()
+        assert hashlib.sha256(json.dumps(gcat_to_dict(G)).encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "path, entry, table",
+    [
+        (("homs", "x|y", "compose2"), ["s", "s", "s"], "hom x|y compose2"),
+        (("hcompose", "cells"), ["f", "id_x", "id_y"], "hcompose cells"),
+        (("hcompose", "twocells"), ["s", "1id_x", "1f"], "hcompose twocells"),
+    ],
+)
+def test_conflicting_entries_are_refused(path, entry, table):
+    raw = gcat_to_dict(corpus.pz2())
+    entries = raw
+    for key in path:
+        entries = entries[key]
+    entries.insert(0, entry)
+    pair = f"({entry[0]}, {entry[1]})"
+    with pytest.raises(GpdLawViolation, match=f"^{re.escape(f'{table}: conflicting compose entries for {pair}')}$"):
+        validate_gcat(raw)
+    entries[0] = list(entries[1])  # an identical repeat
+    assert validate_gcat(raw) == corpus.pz2()
+
+
+def test_small_gcat_of_each_corpus_category_has_it_as_homotopy_category():
+    for name, C in CATS.items():
+        cells = [(m.id, m.src, m.dst) for m in C.morphisms if not C.is_identity(m.id)]
+        composites = [(g, f, gf) for (g, f), gf in C.compose_table.items() if not (C.is_identity(g) or C.is_identity(f))]
+        G = small_gcat(C.objects, cells, hcompose_cells=composites)
+        check_gcat(G)
+        assert is_discrete(G) and G.homotopy.category == C, name
+
+
+def test_small_gcat_with_z3_two_cells_on_an_identity():
+    # one object and one 1-cell: by Eckmann-Hilton the horizontal
+    # composition of 2-cells is the vertical one
+    z3 = [("r", "r", "r2"), ("r", "r2", "1id_x"), ("r2", "r", "1id_x"), ("r2", "r2", "r")]
+    G = small_gcat(["x"], [], [("r", "id_x", "id_x"), ("r2", "id_x", "id_x")], z3, (), z3)
+    inv = mapping_invariants(G, "x", "x")
+    assert inv.components == 1 and inv.automorphism_orders == (3,)
+
+
 def test_embed_is_discrete_and_valid():
     E = embed(CATS["chain3"])
     assert is_discrete(E)
@@ -53,71 +108,16 @@ def test_embed_is_discrete_and_valid():
 
 def _zz_raw():
     """Three objects in a chain, each hom a 2-element automorphism group."""
-    gpd1 = lambda c: {
-        "cells": [c],
-        "twocells": [{"id": f"1{c}", "src": c, "dst": c}],
-        "compose2": [[f"1{c}", f"1{c}", f"1{c}"]],
-    }
-    z2hom = lambda c, t: {
-        "cells": [c],
-        "twocells": [
-            {"id": f"1{c}", "src": c, "dst": c},
-            {"id": t, "src": c, "dst": c},
-        ],
-        "compose2": [
-            [f"1{c}", f"1{c}", f"1{c}"],
-            [f"1{c}", t, t],
-            [t, f"1{c}", t],
-            [t, t, f"1{c}"],
-        ],
-    }
-    return {
-        "objects": ["x", "y", "z"],
-        "homs": {
-            "x|x": gpd1("ix"),
-            "y|y": gpd1("iy"),
-            "z|z": gpd1("iz"),
-            "x|y": z2hom("f", "s"),
-            "y|z": z2hom("g", "t"),
-            "x|z": z2hom("gf", "w"),
-        },
-        "identities": {"x": "ix", "y": "iy", "z": "iz"},
-        "hcompose": {
-            "cells": [
-                ["ix", "ix", "ix"],
-                ["iy", "iy", "iy"],
-                ["iz", "iz", "iz"],
-                ["f", "ix", "f"],
-                ["iy", "f", "f"],
-                ["g", "iy", "g"],
-                ["iz", "g", "g"],
-                ["gf", "ix", "gf"],
-                ["iz", "gf", "gf"],
-                ["g", "f", "gf"],
-            ],
-            "twocells": [
-                ["1ix", "1ix", "1ix"],
-                ["1iy", "1iy", "1iy"],
-                ["1iz", "1iz", "1iz"],
-                ["1f", "1ix", "1f"],
-                ["s", "1ix", "s"],
-                ["1iy", "1f", "1f"],
-                ["1iy", "s", "s"],
-                ["1g", "1iy", "1g"],
-                ["t", "1iy", "t"],
-                ["1iz", "1g", "1g"],
-                ["1iz", "t", "t"],
-                ["1gf", "1ix", "1gf"],
-                ["w", "1ix", "w"],
-                ["1iz", "1gf", "1gf"],
-                ["1iz", "w", "w"],
-                ["1g", "1f", "1gf"],
-                ["1g", "s", "w"],
-                ["t", "1f", "w"],
-                ["t", "s", "1gf"],
-            ],
-        },
-    }
+    return gcat_to_dict(
+        small_gcat(
+            ["x", "y", "z"],
+            [("f", "x", "y"), ("g", "y", "z"), ("gf", "x", "z")],
+            [("s", "f", "f"), ("t", "g", "g"), ("w", "gf", "gf")],
+            [("s", "s", "1f"), ("t", "t", "1g"), ("w", "w", "1gf")],
+            [("g", "f", "gf")],
+            [("1g", "s", "w"), ("t", "1f", "w"), ("t", "s", "1gf")],
+        )
+    )
 
 
 def test_zz_fixture_is_valid():
@@ -143,50 +143,15 @@ def test_vertical_law_violations_are_detected():
 def _vee_raw():
     """x -> y -> z with g . f = h, and a second 1-cell k: x -> z joined to
     h by the invertible 2-cell u: h => k with inverse v."""
-    unit = lambda c: {"cells": [c], "twocells": [{"id": f"1{c}", "src": c, "dst": c}], "compose2": [[f"1{c}"] * 3]}
-    xz = ["1h", "1k", "u", "v"]
-    return {
-        "objects": ["x", "y", "z"],
-        "homs": {
-            "x|x": unit("ix"),
-            "y|y": unit("iy"),
-            "z|z": unit("iz"),
-            "x|y": unit("f"),
-            "y|z": unit("g"),
-            "x|z": {
-                "cells": ["h", "k"],
-                "twocells": [
-                    {"id": "1h", "src": "h", "dst": "h"},
-                    {"id": "1k", "src": "k", "dst": "k"},
-                    {"id": "u", "src": "h", "dst": "k"},
-                    {"id": "v", "src": "k", "dst": "h"},
-                ],
-                "compose2": [
-                    ["1h", "1h", "1h"],
-                    ["1k", "1k", "1k"],
-                    ["u", "1h", "u"],
-                    ["1k", "u", "u"],
-                    ["v", "1k", "v"],
-                    ["1h", "v", "v"],
-                    ["v", "u", "1h"],
-                    ["u", "v", "1k"],
-                ],
-            },
-        },
-        "identities": {"x": "ix", "y": "iy", "z": "iz"},
-        "hcompose": {
-            "cells": [["ix", "ix", "ix"], ["iy", "iy", "iy"], ["iz", "iz", "iz"]]
-            + [["f", "ix", "f"], ["iy", "f", "f"], ["g", "iy", "g"], ["iz", "g", "g"]]
-            + [[c, "ix", c] for c in "hk"]
-            + [["iz", c, c] for c in "hk"]
-            + [["g", "f", "h"]],
-            "twocells": [["1ix", "1ix", "1ix"], ["1iy", "1iy", "1iy"], ["1iz", "1iz", "1iz"]]
-            + [["1f", "1ix", "1f"], ["1iy", "1f", "1f"], ["1g", "1iy", "1g"], ["1iz", "1g", "1g"]]
-            + [[a, "1ix", a] for a in xz]
-            + [["1iz", a, a] for a in xz]
-            + [["1g", "1f", "1h"]],
-        },
-    }
+    return gcat_to_dict(
+        small_gcat(
+            ["x", "y", "z"],
+            [("f", "x", "y"), ("g", "y", "z"), ("h", "x", "z"), ("k", "x", "z")],
+            [("u", "h", "k"), ("v", "k", "h")],
+            [("v", "u", "1h"), ("u", "v", "1k")],
+            [("g", "f", "h")],
+        )
+    )
 
 
 def _edit(table, old, new):
