@@ -248,7 +248,7 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     invariant before returning.  That check also makes F a functor (see
     there), so F's functor laws are not checked apart.  Once each u_c is
     checked to go from c to G d_c, every composite the image filter reads
-    is defined.
+    is defined if G is a functor, and a read that misses names G as none.
     """
     D, C = G.source, G.target
     for c, (d, u) in witnesses.items():
@@ -262,15 +262,18 @@ def construct_left_adjoint(G: FinFunctor, witnesses: dict[str, tuple[str, str]])
     mor_map = {}
     table, Gmor = C.compose_table, G.mor_map
     rows = {c: D.hom_from(d) for c, d in obj_map.items()}  # the row of d_c in D
-    for m in C.morphisms:
-        uc = unit[m.src]
-        target_u = table[(unit[m.dst], m.id)]  # object (d_{c'}, u_{c'} o f) of the comma at c
-        arrows = [phi for phi in rows[m.src].get(obj_map[m.dst], ()) if table[(Gmor[phi], uc)] == target_u]
-        if len(arrows) != 1:
-            raise WitnessNotInitial(
-                f"initiality failed to give a unique image for {m.id!r} ({len(arrows)} candidates)"
-            )
-        mor_map[m.id] = arrows[0]
+    try:
+        for m in C.morphisms:
+            uc = unit[m.src]
+            target_u = table[(unit[m.dst], m.id)]  # object (d_{c'}, u_{c'} o f) of the comma at c
+            arrows = [phi for phi in rows[m.src].get(obj_map[m.dst], ()) if table[(Gmor[phi], uc)] == target_u]
+            if len(arrows) != 1:
+                raise WitnessNotInitial(
+                    f"initiality failed to give a unique image for {m.id!r} ({len(arrows)} candidates)"
+                )
+            mor_map[m.id] = arrows[0]
+    except KeyError as exc:  # G is not scanned: a miss is named as `verify_adjunction` names it
+        raise WitnessNotInitial(f"right adjoint is not a functor: no entry {exc.args[0]!r}") from None
     cert = AdjunctionCertificate(FinFunctor(C, D, obj_map, mor_map), G, unit)
     result = verify_adjunction(cert)
     if not result.ok:

@@ -628,9 +628,9 @@ def check_functor_laws(F: FinFunctor) -> None:
 def validate_functor(raw: Mapping, C: FinCategory, D: FinCategory) -> FinFunctor:
     """Validate a functor from C to D, extending a generator-level morphism map.
 
-    Identities are filled in from the object map and missing composites are
-    saturated from the declared entries; any conflict or unreachable
-    morphism raises NotFunctorial naming the offender.
+    Identities and composites are filled in from the object map and the
+    declared entries; `check_functor_laws` then checks every law on the
+    filled map and names the first one broken, so filling checks nothing.
     """
     check_shape(raw, _FUNCTOR_SHAPE)
     return _functor_from(raw, C, D)
@@ -649,38 +649,23 @@ def validate_functor_file(raw: Mapping, closure_bound: int = DEFAULT_CLOSURE_BOU
 
 
 def _functor_from(raw: Mapping, C: FinCategory, D: FinCategory) -> FinFunctor:
-    """`validate_functor` past its shape check."""
+    """`validate_functor` past its shape check.  The fill only adds: each
+    identity of C goes to the identity of its object's image, when that is
+    an object of D, then each composite whose factors' images compose goes
+    to their composite, until nothing is added."""
     obj_map = dict(raw["obj_map"])
-    for x in C.objects:
-        if x not in obj_map:
-            raise NotFunctorial(f"object {x!r} has no image")
-        if not D.has_object(obj_map[x]):
-            raise NotFunctorial(f"image of object {x!r} is unknown")
     mor_map = dict(raw.get("mor_map", {}))
-    for m, fm in mor_map.items():
-        if not C.has_morphism(m) or not D.has_morphism(fm):
-            raise NotFunctorial(f"morphism map entry {m!r} -> {fm!r} references unknown morphisms")
     for x in C.objects:
-        e = C.id_of(x)
-        want = D.id_of(obj_map[x])
-        if mor_map.setdefault(e, want) != want:
-            raise NotFunctorial(f"identity of {x!r} must map to {want!r}")
+        if D.has_object(obj_map.get(x)):
+            mor_map.setdefault(C.id_of(x), D.id_of(obj_map[x]))
+    table = D.compose_table
     changed = True
     while changed:
         changed = False
         for (g, f), gf in C.compose_table.items():
-            if g in mor_map and f in mor_map:
-                img = D.compose_table.get((mor_map[g], mor_map[f]))
-                if img is None:
-                    raise NotFunctorial(f"images of ({g}, {f}) are not composable")
-                if gf not in mor_map:
-                    mor_map[gf] = img
-                    changed = True
-                elif mor_map[gf] != img:
-                    raise NotFunctorial(f"composite {g} o {f} = {gf} is not preserved")
-    missing = [m.id for m in C.morphisms if m.id not in mor_map]
-    if missing:
-        raise NotFunctorial(f"no assignment reaches morphisms {missing}")
+            if gf not in mor_map and (mor_map.get(g), mor_map.get(f)) in table:
+                mor_map[gf] = table[mor_map[g], mor_map[f]]
+                changed = True
     F = FinFunctor(C, D, obj_map, mor_map)
     check_functor_laws(F)
     return F

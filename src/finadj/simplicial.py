@@ -3,9 +3,10 @@
 Only nondegenerate simplices are stored.  Faces that happen to be
 degenerate are kept as formal markers: `Degenerate(of=t, ops=J)` stands for
 s_{J[0]} s_{J[1]} ... applied to the nondegenerate simplex t, with J kept
-strictly decreasing (the canonical form of a degeneracy operator).  The
-simplicial operator algebra below pushes face maps through those markers,
-which is all of the bookkeeping the truncation needs.
+strictly decreasing (the canonical form of a degeneracy operator).  Each
+simplicial set's face table derives the faces of those markers from the
+identities d_i s_j: it is the one face operator, which `face` reads and
+validation checks.  That is all of the bookkeeping the truncation needs.
 
 Dimension 3 suffices for everything here: the fundamental category only
 consumes 2-simplices, and the boundary-lifting tests for initiality stop at
@@ -88,13 +89,13 @@ class TruncSSet:
         return inner_horn_check(self)
 
     @cached_property
-    def _face_table(self) -> tuple[dict, list[tuple[int, ...]], list[int]]:
+    def _face_table(self) -> tuple[dict, list, list[tuple[int, ...]], list[int]]:
         """Every value of dimension 0..3, degenerate ones included, numbered
         in order of dimension: the number of each value's key (see `_key`),
-        the face numbers of each number, and where each dimension's numbers
-        start.  A vertex has one face, -1, the empty simplex that all
-        vertices share.  Keys are plain tuples, so no `Degenerate` is built
-        or hashed."""
+        the key of each number, the face numbers of each number, and where
+        each dimension's numbers start.  A vertex has one face, -1, the
+        empty simplex that all vertices share.  Keys are plain tuples, so
+        no `Degenerate` is built or hashed."""
         number, keys, faces, start, lifts = {}, [], [], [], {}
 
         def s(j, w):  # the number of s_j applied to the value numbered w
@@ -113,13 +114,13 @@ class TruncSSet:
                     faces.append((-1,))
                 elif not ops:
                     faces.append(tuple([number[_key(f)] for f in self.faces[of]]))
-                else:  # v = s_j u: d_i s_j is s_{j-1} d_i, id or s_j d_{i-1}, as in `face`
+                else:  # v = s_j u: d_i s_j is s_{j-1} d_i (i < j), id (i in {j, j+1}) or s_j d_{i-1}
                     j, u = ops[0], number[of, ops[1:]]
                     fu = faces[u]
                     faces.append(tuple([
                         s(j - 1, fu[i]) if i < j else u if i <= j + 1 else s(j, fu[i - 1]) for i in range(n + 1)
                     ]))
-        return number, faces, start + [len(faces)]
+        return number, keys, faces, start + [len(faces)]
 
     @cached_property
     def _groups(self) -> dict:
@@ -128,7 +129,7 @@ class TruncSSet:
     def _by_faces(self, n: int, J: tuple[int, ...]) -> dict[tuple[int, ...], list[int]]:
         """The numbers of the n-values grouped by their faces at positions J."""
         if (n, J) not in self._groups:
-            _, faces, start = self._face_table
+            _, _, faces, start = self._face_table
             rows = faces[start[n]:start[n + 1]]
             keys = zip(*[[fv[j] for fv in rows] for j in J]) if J else [()] * len(rows)
             groups: dict[tuple[int, ...], list[int]] = {}
@@ -187,25 +188,14 @@ def _apply_degs(ops, w: FaceValue) -> FaceValue:
 
 
 def face(K: TruncSSet, v: FaceValue, i: int) -> FaceValue:
-    """d_i of a face value of dimension >= 1, pushing through degeneracies
-    with d_i s_j = s_{j-1} d_i (i < j), = id (i in {j, j+1}), = s_j d_{i-1}."""
+    """d_i of a face value of dimension >= 1: a stored simplex's face as
+    stored, and a degenerate value's face as `TruncSSet._face_table`
+    derives it."""
     if isinstance(v, str):
         return K.faces[v][i]
-    out: list[int] = []
-    rest = list(v.ops)
-    while rest:
-        j = rest.pop(0)
-        if i < j:
-            out.append(j - 1)
-        elif i in (j, j + 1):
-            return _apply_degs(out + rest, v.of)
-        else:
-            out.append(j)
-            i -= 1
-    base = v.of
-    if K.dim(base) == 0:
-        raise SimplicialError("face index does not match degeneracy structure")
-    return _apply_degs(out, K.faces[base][i])
+    number, keys, faces, _ = K._face_table
+    of, ops = keys[faces[number[v.of, v.ops]][i]]
+    return Degenerate(of, ops) if ops else of
 
 
 def value_vertices(K: TruncSSet, v: FaceValue) -> tuple[str, ...]:
@@ -219,7 +209,10 @@ def value_vertices(K: TruncSSet, v: FaceValue) -> tuple[str, ...]:
 
 
 def validate_sset(K: TruncSSet) -> None:
-    """Assert well-formedness and the simplicial identities on all data."""
+    """Check the shape of K, then the simplicial identities
+    d_i d_j = d_{j-1} d_i on the face table's numbers.  The shape checks
+    make the table number every face: a marker's word is nonempty,
+    strictly decreasing, and starts below its face's dimension."""
     seen = set()
     for n, ids in K.simplices.items():
         if n not in (0, 1, 2, 3):
@@ -238,19 +231,24 @@ def validate_sset(K: TruncSSet) -> None:
                 raise SimplicialError(f"{s!r} must list {n + 1} faces")
             for v in fs:
                 if isinstance(v, Degenerate):
-                    if not K.has(v.of):
+                    k = K._dim.get(v.of)
+                    if k is None:
                         raise SimplicialError(f"face of {s!r} references unknown {v.of!r}")
-                    if normalize_ops(v.ops) != v.ops:
-                        raise SimplicialError(f"face of {s!r} has non-canonical degeneracy ops")
-                    if value_dim(K, v) != n - 1:
-                        raise SimplicialError(f"face of {s!r} has wrong dimension")
-                elif not (K.has(v) and K.dim(v) == n - 1):
+                    # the words of the degenerate (n-1)-values on a k-simplex, as `_values` lists them
+                    if k >= n - 1 or v.ops not in combinations(range(n - 2, -1, -1), n - 1 - k):
+                        raise SimplicialError(
+                            f"face of {s!r} is no degenerate {n - 1}-value: {list(v.ops)} on {v.of!r}"
+                        )
+                elif K._dim.get(v) != n - 1:
                     raise SimplicialError(f"face {v!r} of {s!r} is not a stored {n - 1}-simplex")
+    number, _, faces, _ = K._face_table
     for n in range(2, 4):
         for s in K.ids(n):
-            for j in range(n + 1):
+            fs = faces[number[s, ()]]
+            for j in range(1, n + 1):
+                dj = faces[fs[j]]
                 for i in range(j):
-                    if face(K, K.faces[s][j], i) != face(K, K.faces[s][i], j - 1):
+                    if dj[i] != faces[fs[i]][j - 1]:
                         raise SimplicialError(
                             f"simplicial identity d_{i} d_{j} fails on {s!r}"
                         )
@@ -524,7 +522,7 @@ def _filler_counts(K: TruncSSet, n: int, J, x: str | None = None):
     j >= 1: it holds vertex 0, so it starts at x.
     """
     J = tuple(sorted(J, reverse=True))
-    number, faces, _ = K._face_table
+    number, _, faces, _ = K._face_table
     if x is None:
         maps, placed = [()], 0
     else:

@@ -258,6 +258,14 @@ def test_construct_left_adjoint_names_an_anchor_without_a_witness():
         construct_left_adjoint(G, {})
 
 
+def test_construct_left_adjoint_names_a_right_adjoint_that_is_not_a_functor():
+    # G sends every morphism to id_y, so the image filter's G(id_0) o u_x = id_y o id_x is no composite
+    two, disc2 = CATS["two"], CATS["disc2"]
+    G = fincat.FinFunctor(two, disc2, {"0": "x", "1": "y"}, dict.fromkeys(two.morphism_ids(), "id_y"))
+    with pytest.raises(WitnessNotInitial, match=r"^right adjoint is not a functor: no entry \('id_y', 'id_x'\)$"):
+        construct_left_adjoint(G, {"x": ("0", "id_x"), "y": ("1", "id_y")})
+
+
 def test_gaft_decide_builds_no_comma(monkeypatch):
     built = []
     shared = fincat.category_over

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from finadj import cli, corpus, sweeps
 from finadj.cli import run
 from finadj.enriched import gcat_to_dict
-from finadj.fincat import identity_functor
+from finadj.fincat import NotFunctorial, identity_functor, validate_functor
 from finadj.simplicial import boundary_simplex
 
 
@@ -508,6 +508,20 @@ def test_malformed_fixture_files_never_raise(case):
             assert code in (0, 2, 3), (argv, path, op)
 
 
+# A one-loop sset with a 3-simplex whose faces apply s_2 to 1-values.
+ONE_LOOP_WITH_WORDS_PAST_THEIR_DIMENSION = {
+    "simplices": {"0": ["a"], "1": ["e"], "3": ["w"]},
+    "faces": {
+        "e": ["a", "a"],
+        "w": [
+            {"degenerate_of": "e", "ops": [2]},
+            {"degenerate_of": "e", "ops": [2]},
+            {"degenerate_of": "a", "ops": [2, 0]},
+            {"degenerate_of": "e", "ops": [0]},
+        ],
+    },
+}
+
 # Hand-written malformed files: (fixture, edit, error class from validate).
 MALFORMED = {
     "morphism without src": ("chain3.json", lambda d: d["morphisms"][3].pop("src"), "ShapeError"),
@@ -529,6 +543,14 @@ MALFORMED = {
     "restriction table of a morphism outside the category": ("setf.json", lambda d: d["on_morphisms"].update(q={}), "CategoryError"),
     "faces of a simplex the file does not list": ("boundary2.json", lambda d: d["faces"].update(q=["0", "1"]), "SimplicialError"),
     "faces of a vertex": ("boundary2.json", lambda d: d["faces"].update({"0": []}), "SimplicialError"),
+    "degeneracy word past its face's dimension": (
+        "boundary2.json", lambda d: d.update(ONE_LOOP_WITH_WORDS_PAST_THEIR_DIMENSION), "SimplicialError"
+    ),
+    "degeneracy marker with an empty word": (
+        "boundary2.json",
+        lambda d: (d["simplices"].update({"2": ["t"]}), d["faces"].update(t=["12", {"degenerate_of": "02"}, "01"])),
+        "SimplicialError",
+    ),
     "category without morphisms": ("chain3.json", lambda d: d.pop("morphisms"), "ShapeError"),
     "functor without source": ("g.json", lambda d: d.pop("source"), "ShapeError"),
     "gfunctor without target": ("gf.json", lambda d: d.pop("target"), "GpdLawViolation"),
@@ -547,6 +569,35 @@ def test_malformed_files_are_invalid_and_exit_two(files, case):
     assert code == 0 and cert["verdict"] == "invalid"
     assert cert["witness"]["error"] == error, cert["witness"]
     assert run(other) == 2
+
+
+# Broken maps of the curated functor chain3 -> free_boundary (0<1 -> a, 1<2 -> b, 0<2 -> ba): each edit
+# breaks one functor law, and every reader refuses it as NotFunctorial
+BROKEN_FUNCTOR_MAPS = {
+    "object without an image": lambda d: d["obj_map"].pop("1"),
+    "image outside the target": lambda d: d["obj_map"].update({"1": "q"}),
+    "mor_map key outside the source": lambda d: d["mor_map"].update(q="a"),
+    "mor_map value outside the target": lambda d: d["mor_map"].update({"0<1": "q"}),
+    "identity sent to a non-identity": lambda d: d["mor_map"].update(id_0="a"),
+    "images that do not compose": lambda d: d["mor_map"].update({"0<1": "b"}),
+    "composite not preserved": lambda d: d["mor_map"].update({"0<2": "e"}),
+    "morphism no assignment reaches": lambda d: d["mor_map"].pop("1<2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_FUNCTOR_MAPS))
+def test_broken_functor_maps_are_refused_as_not_functorial(files, case):
+    tmp_path, _, write = files
+    F = dict(corpus.curated_oracle_functors())["chain3_to_fb"]
+    doc = F.to_dict()
+    BROKEN_FUNCTOR_MAPS[case](doc)
+    with pytest.raises(NotFunctorial):
+        validate_functor({"obj_map": doc["obj_map"], "mor_map": doc["mor_map"]}, F.source, F.target)
+    path = write("broken.json", doc)
+    code, cert = _run_to(tmp_path, ["validate", "--functor", path])
+    assert code == 0 and cert["verdict"] == "invalid"
+    assert cert["witness"]["error"] == "NotFunctorial", cert["witness"]
+    assert run(["gaft", "--functor", path]) == 2
 
 
 def test_a_value_set_with_a_repeated_element_is_refused_by_every_reader(files):

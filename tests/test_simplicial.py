@@ -25,6 +25,7 @@ from finadj.simplicial import (
     tau1,
     validate_sset,
     vertex_slice,
+    _chain_value,
     _key,
     _values,
 )
@@ -157,6 +158,36 @@ def test_simplicial_identity_violations_are_caught():
         )
 
 
+# a 3-simplex on a one-loop sset whose faces apply s_2 to a 1-value, and a
+# triangle whose face d_1 is a marker with no word, naming the edge 02 itself
+ONE_LOOP_WITH_WORDS_PAST_THEIR_DIMENSION = {
+    "simplices": {"0": ["a"], "1": ["e"], "3": ["w"]},
+    "faces": {
+        "e": ["a", "a"],
+        "w": [
+            {"degenerate_of": "e", "ops": [2]},
+            {"degenerate_of": "e", "ops": [2]},
+            {"degenerate_of": "a", "ops": [2, 0]},
+            {"degenerate_of": "e", "ops": [0]},
+        ],
+    },
+}
+TRIANGLE_WITH_AN_EMPTY_WORD = {
+    "simplices": {"0": ["0", "1", "2"], "1": ["01", "02", "12"], "2": ["t"]},
+    "faces": {"01": ["1", "0"], "02": ["2", "0"], "12": ["2", "1"], "t": ["12", {"degenerate_of": "02"}, "01"]},
+}
+
+
+@pytest.mark.parametrize("raw, simplex", [
+    (ONE_LOOP_WITH_WORDS_PAST_THEIR_DIMENSION, "w"),
+    (TRIANGLE_WITH_AN_EMPTY_WORD, "t"),
+])
+def test_degeneracy_words_must_be_nonempty_and_fit_their_face(raw, simplex):
+    # a word is strictly decreasing and its first index is below the face's dimension
+    with pytest.raises(SimplicialError, match=f"^face of {simplex!r} is no degenerate"):
+        sset_from_dict(raw)
+
+
 def test_faces_of_vertices_and_unlisted_simplices_are_refused():
     raw = boundary_simplex(2).to_dict()
     raw["faces"].update({"0": [], "q": ["0", "1"]})
@@ -270,16 +301,32 @@ def test_values_are_the_composable_strings(n):
         assert len(values) == len(set(values)) == sum(ending.values()), (name, n)
 
 
-def test_face_table_agrees_with_face():
-    # the table derives the faces of degenerate values from the simplicial
-    # identities; cones add degenerate faces to nondegenerate simplices
-    for _, C in sweeps.sweep_corpus_categories():
-        for K in (nerve(C), join_point(nerve(C)).sset):
-            number, faces, _ = K._face_table
-            for n in (1, 2, 3):
-                for t, J in _values(K, n):
-                    v = Degenerate(t, J) if J else t
-                    assert faces[number[t, J]] == tuple(number[_key(face(K, v, i))] for i in range(n + 1))
+def test_face_table_matches_the_faces_of_composable_strings():
+    # a string of n composable morphisms, identities allowed, names an
+    # n-value of the nerve; its faces drop the first morphism, compose two
+    # neighbours, or drop the last, and an edge's faces are its two ends
+    checked = 0
+    for name, C in sweeps.sweep_corpus_categories():
+        K = nerve(C)
+        number, _, faces, _ = K._face_table
+
+        def named(string):  # an all-identity string names the source of its first entry
+            return number[_key(_chain_value(C, string, C.src(string[0])))]
+
+        strings = [(m.id,) for m in C.morphisms]
+        for n in (1, 2, 3):
+            for ch in strings:
+                if n == 1:
+                    want = (number[C.dst(ch[0]), ()], number[C.src(ch[0]), ()])
+                else:
+                    want = tuple(named(
+                        ch[1:] if i == 0 else ch[:-1] if i == n else
+                        ch[:i - 1] + (C.compose(ch[i], ch[i - 1]),) + ch[i + 1:]
+                    ) for i in range(n + 1))
+                assert faces[named(ch)] == want, (name, ch)
+            checked += len(strings)
+            strings = [ch + (m.id,) for ch in strings for m in C.morphisms if m.src == C.dst(ch[-1])]
+    assert checked == 971
 
 
 def test_face_pushes_through_degeneracies():
