@@ -4,9 +4,11 @@ Only nondegenerate simplices are stored.  Faces that happen to be
 degenerate are kept as formal markers: `Degenerate(of=t, ops=J)` stands for
 s_{J[0]} s_{J[1]} ... applied to the nondegenerate simplex t, with J kept
 strictly decreasing (the canonical form of a degeneracy operator).  Each
-simplicial set's face table derives the faces of those markers from the
-identities d_i s_j: it is the one face operator, which `face` reads and
-validation checks.  That is all of the bookkeeping the truncation needs.
+simplicial set's face table is its one simplicial algebra: it alone
+composes degeneracy words and derives the faces of degenerate values from
+the identities d_i s_j.  `face` and validation read it, and slices, `tau1`
+and the lifting checks read its keys and numbers.  That is all of the
+bookkeeping the truncation needs.
 
 Dimension 3 suffices for everything here: the fundamental category only
 consumes 2-simplices, and the boundary-lifting tests for initiality stop at
@@ -39,21 +41,6 @@ class Degenerate:
 
 
 FaceValue = Union[str, Degenerate]
-
-
-def normalize_ops(ops) -> tuple[int, ...]:
-    """Rewrite a degeneracy word to its strictly decreasing canonical form
-    using s_i s_j = s_{j+1} s_i for i <= j."""
-    ops = list(ops)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(ops) - 1):
-            i, j = ops[t], ops[t + 1]
-            if i <= j:
-                ops[t], ops[t + 1] = j + 1, i
-                changed = True
-    return tuple(ops)
 
 
 @dataclass(frozen=True)
@@ -95,14 +82,15 @@ class TruncSSet:
         the key of each number, the face numbers of each number, and where
         each dimension's numbers start.  A vertex has one face, -1, the
         empty simplex that all vertices share.  Keys are plain tuples, so
-        no `Degenerate` is built or hashed."""
-        number, keys, faces, start, lifts = {}, [], [], [], {}
+        no `Degenerate` is built or hashed.  This is the only code that
+        composes degeneracy words or applies d_i to a degenerate value:
+        s_j enters a canonical word in one step, and the faces of s_j u
+        come from the faces of u."""
+        number, keys, faces, start = {}, [], [], []
 
-        def s(j, w):  # the number of s_j applied to the value numbered w
-            if (j, w) not in lifts:
-                of, ops = keys[w]
-                lifts[j, w] = number[of, normalize_ops((j, *ops))]
-            return lifts[j, w]
+        def s(j, w):  # the number of s_j applied to the value numbered w: s_j s_a = s_{a+1} s_j for a >= j
+            of, ops = keys[w]
+            return number[of, (*[a + 1 for a in ops if a >= j], j, *[a for a in ops if a < j])]
 
         for n in range(4):
             start.append(len(faces))
@@ -172,21 +160,6 @@ def sset_from_dict(raw: dict) -> TruncSSet:
     return K
 
 
-def value_dim(K: TruncSSet, v: FaceValue) -> int:
-    if isinstance(v, Degenerate):
-        return K.dim(v.of) + len(v.ops)
-    return K.dim(v)
-
-
-def _apply_degs(ops, w: FaceValue) -> FaceValue:
-    ops = list(ops)
-    if isinstance(w, Degenerate):
-        ops = ops + list(w.ops)
-        w = w.of
-    ops = normalize_ops(ops)
-    return Degenerate(w, ops) if ops else w
-
-
 def face(K: TruncSSet, v: FaceValue, i: int) -> FaceValue:
     """d_i of a face value of dimension >= 1: a stored simplex's face as
     stored, and a degenerate value's face as `TruncSSet._face_table`
@@ -196,16 +169,6 @@ def face(K: TruncSSet, v: FaceValue, i: int) -> FaceValue:
     number, keys, faces, _ = K._face_table
     of, ops = keys[faces[number[v.of, v.ops]][i]]
     return Degenerate(of, ops) if ops else of
-
-
-def value_vertices(K: TruncSSet, v: FaceValue) -> tuple[str, ...]:
-    n = value_dim(K, v)
-    if n == 0:
-        return (v,)
-    last = v
-    for _ in range(n):
-        last = face(K, last, 0)
-    return value_vertices(K, face(K, v, n)) + (last,)
 
 
 def validate_sset(K: TruncSSet) -> None:
@@ -299,16 +262,23 @@ def _from_vertex_tuples(tops) -> TruncSSet:
 # -- nerve -------------------------------------------------------------------
 
 
-def _chain_value(C: FinCategory, entries: tuple[str, ...], at: str) -> FaceValue:
-    """The simplex named by a composable chain, with identity entries
-    stripped into degeneracy markers."""
-    for i, m in enumerate(entries):
-        if C.is_identity(m):
-            inner = _chain_value(C, entries[:i] + entries[i + 1 :], at)
-            return _apply_degs((i,), inner)
-    if not entries:
-        return at
-    return "|".join(entries) if len(entries) > 1 else entries[0]
+def _chain_value(C: FinCategory, names: dict, entries: tuple[str, ...]) -> FaceValue:
+    """The value named by a composable chain: the simplex that `names`
+    gives its nonidentity entries (an all-identity chain names the source
+    of its first entry), under the word made of its identity entries'
+    positions in decreasing order."""
+    ops = tuple(i for i in range(len(entries) - 1, -1, -1) if C.is_identity(entries[i]))
+    if not ops:
+        return names[entries]
+    core = tuple(m for m in entries if not C.is_identity(m))
+    return Degenerate(names[core] if core else C.src(entries[0]), ops)
+
+
+def _fresh(name: str, taken) -> str:
+    """name, primed with ' until it is not in taken."""
+    while name in taken:
+        name += "'"
+    return name
 
 
 def nerve(C: FinCategory) -> TruncSSet:
@@ -320,36 +290,29 @@ def nerve(C: FinCategory) -> TruncSSet:
 
 
 def _nerve(C: FinCategory) -> TruncSSet:
+    """The chains of 1 to 3 nonidentity morphisms: each chain is extended
+    by the nonidentity morphisms out of its last target, in declared order.
+    A chain of 2 or 3 entries is named by its entries joined with `|`,
+    primed with ' until it names no object, no nonidentity morphism and no
+    earlier chain, and its faces are `_chain_value`s under those names."""
     nonid = [m for m in C.morphisms if not C.is_identity(m.id)]
-    chains = {1: [(m.id,) for m in nonid]}
-    for n in (2, 3):
-        chains[n] = [
-            ch + (m.id,)
-            for ch in chains[n - 1]
-            for m in nonid
-            if m.src == C.dst(ch[-1])
-        ]
-    simplices = {
-        0: tuple(C.objects),
-        1: tuple(ch[0] for ch in chains[1]),
-        2: tuple("|".join(ch) for ch in chains[2]),
-        3: tuple("|".join(ch) for ch in chains[3]),
-    }
-    faces: dict[str, tuple[FaceValue, ...]] = {}
+    out: dict[str, list[str]] = {x: [] for x in C.objects}
     for m in nonid:
-        faces[m.id] = (m.dst, m.src)
+        out[m.src].append(m.id)
+    chains = [(m.id,) for m in nonid]
+    names = {ch: ch[0] for ch in chains}
+    taken = {*C.objects, *names.values()}
+    simplices = {0: tuple(C.objects), 1: tuple(names.values())}
+    faces: dict[str, tuple[FaceValue, ...]] = {m.id: (m.dst, m.src) for m in nonid}
     for n in (2, 3):
-        for ch in chains[n]:
-            fs = []
-            for i in range(n + 1):
-                if i == 0:
-                    sub = ch[1:]
-                elif i == n:
-                    sub = ch[:-1]
-                else:
-                    sub = ch[: i - 1] + (C.compose(ch[i], ch[i - 1]),) + ch[i + 1 :]
-                fs.append(_chain_value(C, sub, C.src(ch[0])))
-            faces["|".join(ch)] = tuple(fs)
+        chains = [ch + (m,) for ch in chains for m in out[C.dst(ch[-1])]]
+        for ch in chains:
+            names[ch] = _fresh("|".join(ch), taken)
+            taken.add(names[ch])
+        simplices[n] = tuple(names[ch] for ch in chains)
+        for ch in chains:
+            inner = [ch[: i - 1] + (C.compose(ch[i], ch[i - 1]),) + ch[i + 1 :] for i in range(1, n)]
+            faces[names[ch]] = tuple(_chain_value(C, names, sub) for sub in [ch[1:], *inner, ch[:-1]])
     K = TruncSSet(simplices, faces)
     validate_sset(K)
     return K
@@ -367,14 +330,17 @@ class JoinResult:
 def join_point(K: TruncSSet) -> JoinResult:
     """The cone: a new initial vertex joined to K, truncated at 3.
 
-    Cones over 3-simplices would live in dimension 4; they are dropped and
-    flagged through `truncation_loss`.
+    The apex is `*`, primed with ' until it is no simplex of K.  The cone
+    over a simplex s is named `*>s`, under the first of the prefixes `*`,
+    `*'`, ... for which no cone name is a simplex of K.  A marker's word
+    shifts by one under the cone, where the apex is vertex 0.  Cones over
+    3-simplices would live in dimension 4; they are dropped and flagged
+    through `truncation_loss`.
     """
-    apex = "*"
-    existing = set(K._dim)
-    while apex in existing:
-        apex += "'"
-    cone_id = lambda s: f"*>{s}"
+    apex, prefix = _fresh("*", K._dim), "*"
+    while any(K.has(f"{prefix}>{s}") for n in range(3) for s in K.ids(n)):
+        prefix += "'"
+    cone_id = lambda s: f"{prefix}>{s}"
 
     def cone_value(v: FaceValue) -> FaceValue:
         if isinstance(v, Degenerate):
@@ -389,10 +355,7 @@ def join_point(K: TruncSSet) -> JoinResult:
         faces[cone_id(v)] = (v, apex)
     for n in (1, 2):
         for s in K.ids(n):
-            fs = [s]
-            for i in range(1, n + 2):
-                fs.append(cone_value(face(K, s, i - 1)))
-            faces[cone_id(s)] = tuple(fs)
+            faces[cone_id(s)] = (s, *map(cone_value, K.faces[s]))
     out = TruncSSet(simplices, faces)
     validate_sset(out)
     return JoinResult(out, bool(K.ids(3)))
@@ -409,17 +372,19 @@ def _edge_path(K: TruncSSet, v: FaceValue) -> tuple[str, ...]:
 
 def tau1(K: TruncSSet, closure_bound: int = DEFAULT_CLOSURE_BOUND) -> FinCategory:
     """The fundamental category: free on vertices and edges, modulo the
-    relation d_1 s = d_0 s after d_2 s for every 2-simplex s.
+    relation d_1 s = d_0 s after d_2 s for every 2-simplex s, which starts
+    at vertex 0 of s as the face table gives it.
 
     Identity morphisms are named id_<vertex>.  A class containing an edge
     keeps the first such edge id, so on a nerve the round trip reproduces
     the category it came from.
     """
+    number, keys, faces, _ = K._face_table
     generators = [(e, face(K, e, 1), face(K, e, 0)) for e in K.ids(1)]
     relations = []
     for s in K.ids(2):
-        d0, d1, d2 = (K.faces[s][i] for i in range(3))
-        src = value_vertices(K, s)[0]
+        d0, d1, d2 = K.faces[s]
+        src, _ = keys[faces[faces[number[s, ()]][2]][1]]
         relations.append((src, _edge_path(K, d2) + _edge_path(K, d0), _edge_path(K, d1)))
     return close_presentation(
         objects=list(K.ids(0)),
@@ -434,59 +399,56 @@ def tau1(K: TruncSSet, closure_bound: int = DEFAULT_CLOSURE_BOUND) -> FinCategor
 
 
 def vertex_slice(K: TruncSSet, x: str, under: bool = False) -> TruncSSet:
-    """The slice at a vertex, truncated at dimension 2.
+    """The slice at a vertex, truncated at dimension 2, read from the face
+    table's numbers.
 
-    Slice n-simplices are the (n+1)-simplices of K (degenerate ones
-    included) whose last vertex is x; with `under` the first vertex is used
-    instead.  The inherent drop by one dimension means slice data above
-    dimension 2 would need 4-simplices of K.
+    Slice n-values are the (n+1)-values of K whose last vertex is x, found
+    by following face 0 n+1 times; with `under`, whose first vertex is x,
+    found by following the last face.  A value (t, J) is nondegenerate in
+    the slice exactly when J is () or (n,) (() or (0,) with `under`).  It
+    is named t, or s<dim t>(t) (s0(t) with `under`) primed with ' until it
+    is no other name of the slice.  A face keeps the rest of its word on
+    that name: J without its top index when that name absorbed it (with
+    `under`, J's nonzero indices, each less one).  The drop by one
+    dimension means slice data above dimension 2 would need 4-simplices of
+    K.
     """
     if not (K.has(x) and K.dim(x) == 0):
         raise SimplicialError(f"{x!r} is not a vertex")
-    pick = -1 if not under else 0
+    number, keys, faces, _ = K._face_table
+    end = -1 if under else 0  # the face that keeps the anchor
 
-    def anchored(v: FaceValue) -> bool:
-        return value_vertices(K, v)[pick] == x
+    def anchored(w: int, n: int) -> bool:  # the n-value numbered w
+        for _ in range(n):
+            w = faces[w][end]
+        return keys[w][0] == x
 
-    def core_id(v: FaceValue) -> str:
-        if isinstance(v, Degenerate):
-            return f"s{v.ops[0]}({v.of})"
-        return v
-
-    reps: dict[int, list[FaceValue]] = {}
+    reps = {}
     for n in (0, 1, 2):
-        vals: list[FaceValue] = [s for s in K.ids(n + 1) if anchored(s)]
-        j = n if not under else 0
-        vals += [Degenerate(s, (j,)) for s in K.ids(n) if anchored(s)]
-        reps[n] = vals
+        word = (0,) if under else (n,)
+        values = [number[t, ()] for t in K.ids(n + 1)] + [number[t, word] for t in K.ids(n)]
+        reps[n] = [w for w in values if anchored(w, n + 1)]
+    slice_keys = [keys[w] for n in (0, 1, 2) for w in reps[n]]
+    taken, cores = {t for t, J in slice_keys if not J}, {}  # cores: the name of each degenerate core, by its simplex
+    for t, J in slice_keys:
+        if J:
+            cores[t] = _fresh(f"s{J[0]}({t})", taken)
+            taken.add(cores[t])
 
-    def to_slice_value(v: FaceValue) -> FaceValue:
-        ops: list[int] = []
-        while isinstance(v, Degenerate):
-            k = value_dim(K, v) - 1
-            if under:
-                low = [j for j in v.ops if j >= 1]
-            else:
-                low = [j for j in v.ops if j <= k - 1]
-            if not low:
-                break
-            j = max(low)
-            t = v.ops.index(j)
-            rest = tuple(a - 1 for a in v.ops[:t]) + v.ops[t + 1 :]
-            ops.append(j - 1 if under else j)
-            v = Degenerate(v.of, rest) if rest else v.of
-        return _apply_degs(normalize_ops(ops), core_id(v)) if ops else core_id(v)
+    def slice_value(f: int, c: int) -> FaceValue:  # the K-value numbered f, whose name absorbs index c
+        t, J = keys[f]
+        core = cores[t] if c in J else t
+        ops = tuple(j - 1 if under else j for j in J if j != c)
+        return Degenerate(core, ops) if ops else core
 
-    simplices = {n: tuple(core_id(v) for v in reps[n]) for n in (0, 1, 2)}
+    simplices = {n: tuple(cores[t] if J else t for t, J in (keys[w] for w in reps[n])) for n in (0, 1, 2)}
     simplices[3] = ()
-    faces = {}
+    slice_faces = {}
     for n in (1, 2):
-        for v in reps[n]:
-            fs = []
-            for i in range(n + 1):
-                fs.append(to_slice_value(face(K, v, i if not under else i + 1)))
-            faces[core_id(v)] = tuple(fs)
-    out = TruncSSet(simplices, faces)
+        for name, w in zip(simplices[n], reps[n]):
+            fs = faces[w][1:] if under else faces[w][:-1]
+            slice_faces[name] = tuple(slice_value(f, 0 if under else n - 1) for f in fs)
+    out = TruncSSet(simplices, slice_faces)
     validate_sset(out)
     return out
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from finadj import cli, corpus, sweeps
 from finadj.cli import run
 from finadj.enriched import gcat_to_dict
-from finadj.fincat import NotFunctorial, identity_functor, validate_functor
+from finadj.fincat import NotFunctorial, identity_functor, small_category, validate_functor
 from finadj.simplicial import boundary_simplex
 
 
@@ -115,6 +115,19 @@ def test_nerve_and_validate_verbs(files):
     assert len(cert["witness"]["sset"]["simplices"]["2"]) == 1
     code, cert = _run_to(tmp_path, ["validate", "--category", paths["chain3.json"]])
     assert code == 0 and cert["verdict"] == "valid"
+
+
+def test_nerve_verb_primes_a_chain_named_like_a_morphism(files):
+    # b∘a is named `a|b`, the name the 2-chain (a, b) would take
+    tmp_path, _, write = files
+    C = small_category(["0", "1", "2"], [("a", "0", "1"), ("b", "1", "2"), ("a|b", "0", "2")], [("b", "a", "a|b")])
+    code, cert = _run_to(tmp_path, ["nerve", "--category", write("named_like_a_chain.json", C.to_dict())])
+    assert code == 0 and cert["witness"]["sset"]["simplices"]["2"] == ["a|b'"]
+    sset = write("named_like_a_chain_sset.json", cert["witness"]["sset"])
+    code, cert = _run_to(tmp_path, ["tau1", "--sset", sset])
+    category = cert["witness"]["category"]
+    assert code == 0 and category["objects"] == ["0", "1", "2"]
+    assert [m["id"] for m in category["morphisms"]] == [m.id for m in C.morphisms]
 
 
 def test_validate_reports_invalid_without_failing(files):

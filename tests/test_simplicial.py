@@ -1,12 +1,14 @@
 import gc
+import hashlib
+import json
 import random
 import weakref
 
 import pytest
 
 from finadj import corpus, sweeps
-from finadj.fincat import ClosureBoundExceeded, FinCategory, identity_functor, isomorphic as cat_isomorphic
-from finadj.adjoint import comma_over
+from finadj.fincat import ClosureBoundExceeded, FinCategory, identity_functor, isomorphic as cat_isomorphic, small_category
+from finadj.adjoint import comma_over, comma_under
 from finadj.simplicial import (
     Degenerate,
     NotANerve,
@@ -19,7 +21,6 @@ from finadj.simplicial import (
     isomorphic,
     join_point,
     nerve,
-    normalize_ops,
     sset_from_dict,
     standard_simplex,
     tau1,
@@ -31,13 +32,6 @@ from finadj.simplicial import (
 )
 
 CATS = corpus.categories()
-
-
-def test_normalize_ops_canonical_form():
-    assert normalize_ops([0, 0]) == (1, 0)
-    assert normalize_ops([1, 0]) == (1, 0)
-    assert normalize_ops([0, 1]) == (2, 0)
-    assert normalize_ops([2, 1, 0]) == (2, 1, 0)
 
 
 def test_nerve_of_terminal_is_a_point():
@@ -109,6 +103,41 @@ def test_inner_horn_check_rejects_missing_and_repeated_fillers(case):
         "2-simplex duplicated": lambda: _edited(nerve(CATS["chain3"]), 2, copies=(("t'", "0<1|1<2"),)),
     }[case]()
     assert not inner_horn_check(K)
+
+
+def test_chains_named_like_morphisms_or_earlier_chains_are_primed():
+    # the composite b∘a is named `a|b`, so `a|b` names a morphism, and `a|b|c`
+    # names the 2-chain (a|b, c) before the 3-chain (a, b, c) is named
+    C = small_category(
+        ["0", "1", "2", "3"],
+        [("a", "0", "1"), ("b", "1", "2"), ("c", "2", "3"), ("a|b", "0", "2"), ("cb", "1", "3"), ("cba", "0", "3")],
+        [("b", "a", "a|b"), ("c", "b", "cb"), ("c", "a|b", "cba"), ("cb", "a", "cba")],
+    )
+    K = nerve(C)
+    assert K.ids(2) == ("a|b'", "a|cb", "b|c", "a|b|c") and K.ids(3) == ("a|b|c'",)
+    # the faces of the 3-chain name the 2-chains by the names they were given
+    assert K.faces["a|b|c'"] == ("b|c", "a|b|c", "a|cb", "a|b'")
+    assert tau1(K) == C
+
+
+def test_slice_cores_are_primed_past_the_slices_other_names():
+    # an arrow named s0(x) into x (out of x, for the slice under x) is a
+    # vertex of the slice, beside the identity of x
+    for arrow, under, comma in [(("a", "x"), False, comma_over), (("x", "a"), True, comma_under)]:
+        C = small_category(["a", "x"], [("s0(x)", *arrow)], [])
+        sl = vertex_slice(nerve(C), "x", under)
+        assert sl.ids(0) == ("s0(x)", "s0(x)'")
+        (edge,) = sl.ids(1)
+        assert set(sl.faces[edge]) == {"s0(x)", "s0(x)'"}
+        assert cat_isomorphic(tau1(sl), comma(identity_functor(C), "x").base)
+
+
+def test_cone_names_are_primed_past_the_simplices_of_k():
+    # the vertex *>a would be the cone over a: every cone name takes the prefix *'
+    K = nerve(small_category(["a", "*>a"], [("f", "a", "*>a")], []))
+    j = join_point(K).sset
+    assert j.ids(0) == ("*", "a", "*>a") and j.ids(1) == ("f", "*'>a", "*'>*>a") and j.ids(2) == ("*'>f",)
+    assert isomorphic(j, nerve(CATS["chain3"]))
 
 
 def test_join_point_of_simplices():
@@ -247,8 +276,6 @@ def test_slice_fundamental_category_is_the_comma_slice(name):
 
 @pytest.mark.parametrize("name", ["chain3", "pp", "iso2", "z2", "free_boundary"])
 def test_under_slice_fundamental_category_is_the_under_comma(name):
-    from finadj.adjoint import comma_under
-
     C = CATS[name]
     for c in C.objects:
         sliced = tau1(vertex_slice(nerve(C), c, under=True))
@@ -309,9 +336,11 @@ def test_face_table_matches_the_faces_of_composable_strings():
     for name, C in sweeps.sweep_corpus_categories():
         K = nerve(C)
         number, _, faces, _ = K._face_table
+        # no morphism id of the sweep categories holds a `|`, so each chain's id splits into its entries
+        names = {tuple(s.split("|")): s for n in (1, 2, 3) for s in K.ids(n)}
 
         def named(string):  # an all-identity string names the source of its first entry
-            return number[_key(_chain_value(C, string, C.src(string[0])))]
+            return number[_key(_chain_value(C, names, string))]
 
         strings = [(m.id,) for m in C.morphisms]
         for n in (1, 2, 3):
@@ -361,3 +390,28 @@ def test_categories_with_kept_nerves_are_freed_by_reference_counting():
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()
+
+
+# sha256 of each pinned simplicial set's `to_dict`, face table (keys, faces
+# and starts), both slices at every vertex and, for a nerve, `tau1`, taken
+# from the release whose degeneracy words were rewritten by bubbling
+SIMPLICIAL_DIGEST = "e5d0ad769dbac62c9bc4fdda3a9e49a8abb8c7ade946195ff279b9a08157b7d6"
+
+
+def test_simplicial_sets_are_pinned():
+    # the nerves of the sweep categories and of each named category with every
+    # object doubled, Δ⁰–Δ³ and ∂Δ¹–∂Δ³, and the cone on each; a nerve is paired with True
+    nerves = [nerve(C) for _, C in sweeps.sweep_corpus_categories()]
+    nerves += [nerve(sweeps.inflate(C, [2] * len(C.objects)).source) for C in CATS.values()]
+    others = [standard_simplex(n) for n in range(4)] + [boundary_simplex(n) for n in range(1, 4)]
+    pinned = [(K, True) for K in nerves] + [(K, False) for K in others]
+    pinned += [(join_point(K).sset, False) for K, _ in pinned]
+    digest, values, slices = hashlib.sha256(), 0, 0
+    for K, is_nerve in pinned:
+        _, keys, faces, start = K._face_table
+        sliced = [vertex_slice(K, x, under).to_dict() for x in K.ids(0) for under in (False, True)]
+        row = [K.to_dict(), keys, faces, start, sliced, tau1(K).to_dict() if is_nerve else None]
+        digest.update(json.dumps(row).encode())
+        values, slices = values + len(keys), slices + len(sliced)
+    assert (len(pinned), values, slices) == (120, 12231, 892)
+    assert digest.hexdigest() == SIMPLICIAL_DIGEST
